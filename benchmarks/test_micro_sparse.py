@@ -9,11 +9,17 @@ import pytest
 
 from repro.lattice import cubic, tight_binding_hamiltonian
 from repro.sparse import CSRMatrix
+from repro.sparse.sweep import ell_sweep_matvec
 
 
 @pytest.fixture(scope="module")
 def cube10_csr():
     return tight_binding_hamiltonian(cubic(10), format="csr")
+
+
+@pytest.fixture(scope="module")
+def cube20_csr():
+    return tight_binding_hamiltonian(cubic(20), format="csr")
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +47,38 @@ class TestSpMV:
         np.testing.assert_allclose(
             cube10_csr.matmat(block), cube10_dense @ block, atol=1e-10
         )
+
+
+    def test_ell_matvec_d8000(self, benchmark, cube20_csr):
+        ell = cube20_csr.to_ell()
+        x = np.random.default_rng(0).standard_normal(8000)
+        result = benchmark(ell.matvec, x)
+        # Reference: the per-call gather sweep (no compiled plan).
+        np.testing.assert_array_equal(
+            result, ell_sweep_matvec(ell.data, ell.indices, x)
+        )
+
+
+class TestSymmetry:
+    @staticmethod
+    def reference(csr, tolerance):
+        """The dense formula ``max |A - A.T| <= tol``, evaluated by SciPy."""
+        import scipy.sparse as sp
+
+        a = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
+        return bool(max(abs(a - a.T).max(), 0.0) <= tolerance)
+
+    def test_is_symmetric_tol_d8000(self, benchmark, cube20_csr):
+        result = benchmark(cube20_csr.is_symmetric, 1e-12)
+        assert result is self.reference(cube20_csr, 1e-12) is True
+        skewed = CSRMatrix(
+            cube20_csr.indptr,
+            cube20_csr.indices,
+            cube20_csr.data + np.where(cube20_csr.indices == 7, 1e-9, 0.0),
+            cube20_csr.shape,
+        )
+        for tolerance in (1e-12, 1e-9, 2e-9):
+            assert skewed.is_symmetric(tolerance) is self.reference(skewed, tolerance)
 
 
 class TestConstruction:

@@ -39,6 +39,7 @@ from repro.gpu.contracts import ArraySpec, KernelContract, LaunchMode, MatrixSpe
 from repro.gpu.kernel import kernel
 from repro.kpm.random_vectors import random_vector
 from repro.sparse.sweep import (
+    build_ell_plan,
     build_sweep_plan,
     csr_sweep_matvec,
     dense_sweep_matvec,
@@ -64,9 +65,10 @@ class DeviceMatrix:
 
     For CSR storage, pass the *host-side* ``host_indptr`` so the
     canonical :class:`~repro.sparse.sweep.SweepPlan` is built without
-    touching device memory outside a launch (the device sanitizer
-    tracks every device-buffer access); without it the plan is built
-    lazily from the device row pointer on first use inside a launch.
+    touching device memory outside a launch (the sanitizer tracks every
+    device-buffer access); without it the plan is built from the device
+    row pointer on first use inside a launch.  The plan compiles its
+    operands from the raw buffers on the first un-instrumented matvec.
     """
 
     def __init__(
@@ -82,10 +84,7 @@ class DeviceMatrix:
         host_indptr=None,
         nnz=None,
     ):
-        self.dense = None
-        self.csr = None
-        self.ell = None
-        self._plan = None
+        self.dense = self.csr = self.ell = self._plan = None
         if dense is not None:
             self.dense = dense
             self.shape = dense.shape
@@ -107,12 +106,13 @@ class DeviceMatrix:
             self.shape = shape
             self.nnz = int(nnz) if nnz is not None else None
             self.format = "ell"
+            self._plan = build_ell_plan(*ell_data.shape)
         else:
             raise DeviceError("DeviceMatrix needs dense, CSR, or ELL storage")
 
     @property
     def sweep_plan(self):
-        """Canonical slot schedule of the CSR storage (built on demand)."""
+        """Canonical slot schedule of the sparse storage (CSR: on demand)."""
         if self._plan is None:
             _, _, indptr = self.csr
             self._plan = build_sweep_plan(np.asarray(indptr.data, dtype=np.int64), self.shape[0])
@@ -126,7 +126,7 @@ class DeviceMatrix:
             data, indices, _ = self.csr
             return csr_sweep_matvec(data.data, indices.data, self.sweep_plan, x)
         ell_data, ell_indices = self.ell
-        return ell_sweep_matvec(ell_data.data, ell_indices.data, x)
+        return ell_sweep_matvec(ell_data.data, ell_indices.data, x, plan=self._plan)
 
     def free(self) -> None:
         """Release the device buffers backing this matrix."""

@@ -11,7 +11,8 @@ left-to-right accumulation over ascending stored columns — so CSR
 results are bit-identical to the dense and ELL operators holding the
 same matrix, and the autotuner may switch formats freely.  The slot
 schedule (:class:`repro.sparse.sweep.SweepPlan`) is built lazily on
-first use and cached on the instance.
+first use and cached on the instance; it gathers the per-slot values
+and columns once, on the first sweep.
 """
 
 from __future__ import annotations
@@ -343,17 +344,30 @@ class CSRMatrix:
         return sums
 
     def is_symmetric(self, tolerance: float = 0.0) -> bool:
-        """True if ``|A - A.T|`` never exceeds ``tolerance`` entrywise."""
+        """True if ``|A - A.T|`` never exceeds ``tolerance`` entrywise.
+
+        With ``tolerance > 0`` the check merges the stored entries of
+        ``A`` and ``A.T`` on flat keys ``row * n + col`` instead of
+        densifying: outside the union of stored positions both sides are
+        ``0.0``, and canonical CSR stores each key at most once, so the
+        entrywise differences are exactly those of the dense formula.
+        """
         if self.shape[0] != self.shape[1]:
             return False
-        transposed = self.transpose()
         if tolerance == 0.0:
+            transposed = self.transpose()
             return (
                 np.array_equal(self.indptr, transposed.indptr)
                 and np.array_equal(self.indices, transposed.indices)
                 and np.array_equal(self.data, transposed.data)
             )
-        return bool(
-            np.max(np.abs(self.to_dense() - transposed.to_dense()), initial=0.0)
-            <= tolerance
-        )
+        n = self.shape[0]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        keys = rows * n + self.indices
+        transposed_keys = self.indices * n + rows
+        union = np.union1d(keys, transposed_keys)
+        entries = np.zeros(union.size, dtype=np.float64)
+        mirrored = np.zeros(union.size, dtype=np.float64)
+        entries[np.searchsorted(union, keys)] = self.data
+        mirrored[np.searchsorted(union, transposed_keys)] = self.data
+        return bool(np.max(np.abs(entries - mirrored), initial=0.0) <= tolerance)

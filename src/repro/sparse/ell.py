@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import ShapeError, ValidationError
 from repro.sparse.csr import CSRMatrix, content_fingerprint
-from repro.sparse.sweep import ell_sweep_matmat, ell_sweep_matvec
+from repro.sparse.sweep import build_ell_plan, ell_sweep_matmat, ell_sweep_matvec
 
 __all__ = ["ELLMatrix"]
 
@@ -42,7 +42,7 @@ class ELLMatrix:
         ``(n_rows, n_cols)``.
     """
 
-    __slots__ = ("data", "indices", "row_nnz", "shape")
+    __slots__ = ("data", "indices", "row_nnz", "shape", "_sweep_plan")
 
     def __init__(self, data, indices, row_nnz, shape: tuple[int, int]):
         data = np.asarray(data, dtype=np.float64)
@@ -93,6 +93,7 @@ class ELLMatrix:
         self.indices = indices
         self.row_nnz = row_nnz
         self.shape = (n_rows, n_cols)
+        self._sweep_plan = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -167,6 +168,13 @@ class ELLMatrix:
     # ------------------------------------------------------------------
     # Linear algebra (canonical sweep — bit-identical to CSR and dense)
     # ------------------------------------------------------------------
+    @property
+    def sweep_plan(self):
+        """Cached :class:`repro.sparse.sweep.SweepPlan` for this matrix."""
+        if self._sweep_plan is None:
+            self._sweep_plan = build_ell_plan(*self.data.shape)
+        return self._sweep_plan
+
     def matvec(self, x) -> np.ndarray:
         """Return ``A @ x`` for a vector ``x`` of length ``n_cols``."""
         x = np.asarray(x, dtype=np.float64)
@@ -174,7 +182,7 @@ class ELLMatrix:
             raise ShapeError(
                 f"x must be a vector of length {self.shape[1]}, got shape {x.shape}"
             )
-        return ell_sweep_matvec(self.data, self.indices, x)
+        return ell_sweep_matvec(self.data, self.indices, x, plan=self.sweep_plan)
 
     def matmat(self, block) -> np.ndarray:
         """Return ``A @ B`` for a ``(n_cols, k)`` block of vectors."""
@@ -183,7 +191,7 @@ class ELLMatrix:
             raise ShapeError(
                 f"block must have shape ({self.shape[1]}, k), got {block.shape}"
             )
-        return ell_sweep_matmat(self.data, self.indices, block)
+        return ell_sweep_matmat(self.data, self.indices, block, plan=self.sweep_plan)
 
     def dot(self, other) -> np.ndarray:
         """Dispatch to :meth:`matvec` or :meth:`matmat` on ``other.ndim``."""

@@ -58,9 +58,15 @@ def as_operator(matrix, *, require_square: bool = True):
         Reject non-square operators — the KPM needs a Hamiltonian.
     """
     from repro.sparse.coo import COOMatrix
+    from repro.sparse.csr import CSRMatrix
     from repro.sparse.dense import DenseOperator
+    from repro.sparse.ell import ELLMatrix
 
-    if isinstance(matrix, COOMatrix):
+    # The exact-type test keeps the runtime-Protocol isinstance (which
+    # walks the protocol's attributes) off the per-request path.
+    if type(matrix) in (CSRMatrix, ELLMatrix, DenseOperator):
+        op = matrix
+    elif isinstance(matrix, COOMatrix):
         op = matrix.to_csr()
     elif is_operator(matrix):
         op = matrix

@@ -25,9 +25,32 @@ addition absorbs them exactly: ``s + (+/-0.0) == s`` whenever
 Hence dense, CSR, and ELL sweeps over the same matrix are bit-identical
 for finite inputs — the property suite pins this.
 
-The sweeps iterate ``W = max_row_nnz`` slots (dense: ``n_cols``
-columns); each slot is one vectorized gather-multiply-accumulate, so
-the host cost is ``O(W)`` numpy calls on ``O(n_rows)`` operands.
+**Compiled operands.**  CSR and ELL share one slot schedule,
+:class:`SweepPlan`: slot ``k`` is the ``k``-th stored entry of every row
+long enough to have one (ELL: every row, padding included).  The values
+and columns a slot multiplies never change, so the plan gathers them
+*once per matrix* — ``vals = data[positions]``, ``cols =
+indices[positions]`` — on the first sweep over raw storage, and marks
+the slots that cover every row.  A sweep then costs one
+``x[cols]`` gather, one multiply and one add per slot; a full-row slot
+accumulates with a contiguous ``out += vals * x[cols]`` instead of a
+scatter through ``out[rows]``.  Both paths perform the same
+floating-point operations on the same operands, so they are
+bit-identical.  The plans live where the storage does
+(:class:`~repro.sparse.CSRMatrix`, :class:`~repro.sparse.ELLMatrix` and
+the device-side ``DeviceMatrix``) and are built on first use.
+
+**Instrumented views take the gather path.**  Under an ambient
+:class:`~repro.sanitize.DeviceSanitizer` a device buffer's ``.data`` is
+a :class:`~repro.sanitize.view.SanitizedView`, not an ndarray.  The
+sweep then gathers through the view on every call, exactly as an
+uncompiled sweep would, so the sanitizer still records every read of
+the matrix storage in every launch.
+
+**Storage is read-only after construction.**  Compiled operands are
+tied to the identity of the arrays they were gathered from and are not
+refreshed if those arrays are written in place afterwards; the
+operators and the device upload never do so.
 """
 
 from __future__ import annotations
@@ -35,10 +58,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError, ValidationError
+from repro.util.validation import check_nonnegative_int, check_positive_int
 
 __all__ = [
     "SweepPlan",
     "build_sweep_plan",
+    "build_ell_plan",
     "csr_sweep_matvec",
     "csr_sweep_matmat",
     "ell_sweep_matvec",
@@ -49,19 +74,46 @@ __all__ = [
 
 
 class SweepPlan:
-    """Precomputed slot schedule of a CSR matrix's canonical sweep.
+    """Precomputed slot schedule of a matrix's canonical sweep.
 
     Slot ``k`` covers the ``k``-th stored entry of every row that has at
     least ``k + 1`` entries: ``rows[k]`` are those row indices and
-    ``positions[k]`` the matching flat positions into ``data`` /
-    ``indices``.  Total memory is ``O(nnz)`` regardless of row skew.
+    ``positions[k]`` the matching flat (row-major) positions into the
+    value / index storage.  Total memory is ``O(nnz)`` regardless of
+    row skew; the compiled operands add another ``O(nnz)``.
     """
 
-    __slots__ = ("n_rows", "slots")
+    __slots__ = ("n_rows", "slots", "_compiled")
 
     def __init__(self, n_rows: int, slots: list[tuple[np.ndarray, np.ndarray]]):
         self.n_rows = n_rows
         self.slots = slots
+        self._compiled = None
+
+    def compiled(self, data, indices):
+        """Per-slot ``(rows, vals, cols)`` gathered from raw storage.
+
+        ``rows`` is ``None`` for a slot that covers every row.  The
+        operands are gathered on the first call and reused while the
+        same ``data`` / ``indices`` arrays are passed.  Returns ``None``
+        when either is not a plain ndarray (an instrumented view), so
+        the caller gathers through it instead.
+        """
+        if type(data) is not np.ndarray or type(indices) is not np.ndarray:
+            return None
+        cached = self._compiled
+        if cached is None or cached[0] is not data or cached[1] is not indices:
+            flat_data, flat_indices = data.reshape(-1), indices.reshape(-1)
+            slots = [
+                (
+                    None if rows.size == self.n_rows else rows,
+                    flat_data[positions],
+                    flat_indices[positions],
+                )
+                for rows, positions in self.slots
+            ]
+            cached = self._compiled = (data, indices, slots)
+        return cached[2]
 
 
 def build_sweep_plan(indptr: np.ndarray, n_rows: int) -> SweepPlan:
@@ -81,11 +133,38 @@ def build_sweep_plan(indptr: np.ndarray, n_rows: int) -> SweepPlan:
     return SweepPlan(n_rows, slots)
 
 
+def build_ell_plan(n_rows: int, width: int) -> SweepPlan:
+    """Build the slot schedule of ``(n_rows, width)`` ELL storage.
+
+    Every slot covers every row (padded slots absorb exactly), so the
+    compiled sweep accumulates each slot contiguously.
+    """
+    n_rows = check_positive_int(n_rows, "n_rows")
+    width = check_nonnegative_int(width, "width")
+    rows = np.arange(n_rows, dtype=np.int64)
+    return SweepPlan(n_rows, [(rows, rows * width + k) for k in range(width)])
+
+
+def _sweep_compiled(slots, out, operand) -> np.ndarray:
+    """Accumulate the compiled slots of ``A @ operand`` into ``out``."""
+    block = operand.ndim == 2
+    for rows, vals, cols in slots:
+        products = (vals[:, None] if block else vals) * operand[cols]
+        if rows is None:
+            out += products
+        else:
+            out[rows] += products
+    return out
+
+
 def csr_sweep_matvec(data, indices, plan: SweepPlan, x) -> np.ndarray:
     """Canonical ``A @ x`` over CSR storage (see module docstring)."""
     if not isinstance(plan, SweepPlan):
         raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
     out = np.zeros(plan.n_rows, dtype=np.result_type(data, x))
+    compiled = plan.compiled(data, indices)
+    if compiled is not None:
+        return _sweep_compiled(compiled, out, x)
     for rows, positions in plan.slots:
         out[rows] += data[positions] * x[indices[positions]]
     return out
@@ -96,25 +175,50 @@ def csr_sweep_matmat(data, indices, plan: SweepPlan, block) -> np.ndarray:
     if not isinstance(plan, SweepPlan):
         raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
     out = np.zeros((plan.n_rows, block.shape[1]), dtype=np.result_type(data, block))
+    compiled = plan.compiled(data, indices)
+    if compiled is not None:
+        return _sweep_compiled(compiled, out, block)
     for rows, positions in plan.slots:
         out[rows] += data[positions, None] * block[indices[positions], :]
     return out
 
 
-def ell_sweep_matvec(ell_data, ell_indices, x) -> np.ndarray:
-    """Canonical ``A @ x`` over ELL storage (padded slots absorb exactly)."""
+def _ell_compiled(ell_data, ell_indices, plan):
+    """Compiled ELL slots, or ``None`` to gather slot column by column."""
+    if plan is None:
+        return None
+    if not isinstance(plan, SweepPlan):
+        raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
+    if (plan.n_rows, len(plan.slots)) != ell_data.shape:
+        raise ShapeError(
+            f"ELL plan covers ({plan.n_rows}, {len(plan.slots)}) slots, "
+            f"storage has shape {ell_data.shape}"
+        )
+    return plan.compiled(ell_data, ell_indices)
+
+
+def ell_sweep_matvec(ell_data, ell_indices, x, *, plan=None) -> np.ndarray:
+    """Canonical ``A @ x`` over ELL storage (padded slots absorb exactly).
+
+    ``plan`` is the storage's :func:`build_ell_plan` schedule; with it
+    the sweep runs on compiled operands, without it (or through an
+    instrumented view) it gathers slot column by slot column.
+    """
     if ell_data.shape != ell_indices.shape:
         raise ShapeError(
             f"ELL data/indices shapes differ: {ell_data.shape} vs {ell_indices.shape}"
         )
     out = np.zeros(ell_data.shape[0], dtype=np.result_type(ell_data, x))
+    compiled = _ell_compiled(ell_data, ell_indices, plan)
+    if compiled is not None:
+        return _sweep_compiled(compiled, out, x)
     for k in range(ell_data.shape[1]):
         out += ell_data[:, k] * x[ell_indices[:, k]]
     return out
 
 
-def ell_sweep_matmat(ell_data, ell_indices, block) -> np.ndarray:
-    """Canonical ``A @ B`` over ELL storage."""
+def ell_sweep_matmat(ell_data, ell_indices, block, *, plan=None) -> np.ndarray:
+    """Canonical ``A @ B`` over ELL storage (``plan`` as for the matvec)."""
     if ell_data.shape != ell_indices.shape:
         raise ShapeError(
             f"ELL data/indices shapes differ: {ell_data.shape} vs {ell_indices.shape}"
@@ -122,6 +226,9 @@ def ell_sweep_matmat(ell_data, ell_indices, block) -> np.ndarray:
     out = np.zeros(
         (ell_data.shape[0], block.shape[1]), dtype=np.result_type(ell_data, block)
     )
+    compiled = _ell_compiled(ell_data, ell_indices, plan)
+    if compiled is not None:
+        return _sweep_compiled(compiled, out, block)
     for k in range(ell_data.shape[1]):
         out += ell_data[:, k, None] * block[ell_indices[:, k], :]
     return out

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.kernelver import find_kernel_defs, interpret_mode
 from repro.analysis.kernelver.interp import ref_extent
@@ -141,15 +141,18 @@ class TestHullSoundness:
     """
 
     @given(seed=st.integers(0, 2**32 - 1), span=st.integers(1, 9))
+    @example(seed=1887113, span=1)  # loop ranges empty: most accesses vacuous
     @settings(max_examples=40, deadline=None)
     def test_shipped_kernel_hulls_in_extent(self, seed, span):
         rng = np.random.default_rng(seed)
-        checked = 0
+        candidates = {}  # (kernel, mode) -> accesses with a declared extent
         for kernel, mode, contract, result in _all_mode_results():
+            candidates.setdefault((kernel, mode), 0)
             for access in result.accesses:
                 extent = ref_extent(contract, Ref(access.param, access.field))
                 if extent is None:
                     continue
+                candidates[(kernel, mode)] += 1
                 domain = access.domain if access.domain is not None else result.domain
                 try:
                     valuation = domain.sample(rng, span=span)
@@ -168,5 +171,9 @@ class TestHullSoundness:
                     assert lo <= hi + 1, label  # empty cells allowed
                     assert 0 <= lo, label
                     assert hi <= bound - 1, label
-                    checked += 1
-        assert checked > 100  # the sweep actually exercised the kernels
+        # The sweep exercised the kernels: every (kernel, mode) pair offers
+        # in-extent access candidates before sampling.  Whether a sampled
+        # valuation makes a loop range empty (the access vacuous) depends
+        # on the seed, so the count is taken before sampling.
+        assert all(candidates.values()), candidates
+        assert sum(candidates.values()) > 100

@@ -142,3 +142,18 @@ class TestSpectralHelpers:
             dense = dense[:n, :n]
         sym = dense + dense.T
         assert CSRMatrix.from_dense(sym).is_symmetric(tolerance=1e-12)
+
+    @given(dense=sparse_dense_arrays(), data=st.data())
+    @settings(max_examples=60)
+    def test_is_symmetric_matches_dense_formula(self, dense, data):
+        n = min(dense.shape)
+        dense = dense[:n, :n]
+        if data.draw(st.booleans()):
+            dense = dense + dense.T  # mostly symmetric: tolerances bite
+            i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+            dense[i, j] += data.draw(st.floats(-1e-3, 1e-3, width=64))
+        tol = data.draw(
+            st.one_of(st.floats(1e-12, 20.0), st.sampled_from([1e-3, 2.0**-20]))
+        )
+        reference = bool(np.max(np.abs(dense - dense.T), initial=0.0) <= tol)
+        assert CSRMatrix.from_dense(dense).is_symmetric(tol) is reference

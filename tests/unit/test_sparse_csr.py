@@ -206,6 +206,22 @@ class TestSpectralHelpers:
         assert not csr.is_symmetric()
         assert csr.is_symmetric(tolerance=1e-10)
 
+    @pytest.mark.parametrize("mirror", [1.0, 0.0])
+    def test_is_symmetric_tolerance_edge_matches_dense(self, mirror):
+        # One entry exceeds its transposed partner by exactly ``tol``, then
+        # by one more ulp; mirror 0.0 leaves the partner unstored.
+        tol = 2.0**-20
+        exact = mirror + tol
+        above = np.nextafter(exact, np.inf)
+        for value, expected in ((exact, True), (above, False)):
+            dense = np.diag([-2.5, 0.0, 1.0, 0.0, 3.0])
+            dense[3, 1] = mirror
+            dense[1, 3] = value
+            assert bool(np.max(np.abs(dense - dense.T)) <= tol) is expected
+            csr = CSRMatrix.from_dense(dense)
+            assert csr.is_symmetric(tol) is expected
+            assert csr.to_ell().is_symmetric(tol) is expected
+
     def test_rectangular_not_symmetric(self):
         assert not CSRMatrix.from_dense(np.ones((2, 3))).is_symmetric()
 

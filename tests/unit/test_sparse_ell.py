@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError, ValidationError
+from repro.gpu import Device, tiny_test_device
+from repro.gpukpm.kernels import DeviceMatrix
 from repro.lattice import chain, cubic, tight_binding_hamiltonian
+from repro.sanitize import DeviceSanitizer
 from repro.sparse import CSRMatrix, ELLMatrix
+from repro.sparse.sweep import (
+    build_ell_plan,
+    csr_sweep_matmat,
+    csr_sweep_matvec,
+    ell_sweep_matmat,
+    ell_sweep_matvec,
+)
 
 
 def sample_dense():
@@ -154,6 +164,152 @@ class TestLinearAlgebra:
         np.testing.assert_array_equal(ell @ x, ell.matvec(x))
         with pytest.raises(ShapeError):
             ell.dot(np.ones((2, 2, 2)))
+
+
+class _Uncompiled(np.ndarray):
+    """Storage that is not a plain ndarray: the sweep gathers per call."""
+
+
+def ragged_csr(seed=0, n=40):
+    """Random CSR with empty rows, one long row, and a subnormal entry."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
+    dense[::7] = 0.0  # empty rows
+    dense[5] = rng.standard_normal(n)  # one long row
+    dense[9, :3] = [1.5, -1.5, 2.0**-1074]
+    return CSRMatrix.from_dense(dense)
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def operand(rng, shape, dtype):
+    values = rng.standard_normal(shape).astype(dtype)
+    values.flat[::5] = -0.0  # products of -0.0 exercise zero absorption
+    return values
+
+
+class TestCompiledSweep:
+    """Compiled operands are bit-identical to the per-call gather path."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ragged_csr_matvec_and_matmat(self, dtype, seed):
+        csr = ragged_csr(seed)
+        assert 0 in csr.row_nnz() and csr.max_row_nnz >= 30
+        data, indices = csr.data.astype(dtype), csr.indices
+        plan = csr.sweep_plan
+        rng = np.random.default_rng(seed + 10)
+        x = operand(rng, 40, dtype)
+        block = operand(rng, (40, 5), dtype)
+        gather = data.view(_Uncompiled), indices.view(_Uncompiled)
+        for _ in range(2):  # compile on the first call, reuse on the second
+            assert_bits_equal(
+                csr_sweep_matvec(data, indices, plan, x),
+                csr_sweep_matvec(*gather, plan, x),
+            )
+            assert_bits_equal(
+                csr_sweep_matmat(data, indices, plan, block),
+                csr_sweep_matmat(*gather, plan, block),
+            )
+        assert plan.compiled(data, indices) is plan.compiled(data, indices)
+        assert plan.compiled(*gather) is None
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_padded_ell_matches_gather_and_csr(self, dtype):
+        csr = ragged_csr(3)
+        ell = csr.to_ell()
+        assert ell.padding_fraction > 0.5
+        data = ell.data.astype(dtype)
+        plan = build_ell_plan(*data.shape)
+        rng = np.random.default_rng(4)
+        x = operand(rng, 40, dtype)
+        block = operand(rng, (40, 3), dtype)
+        compiled = ell_sweep_matvec(data, ell.indices, x, plan=plan)
+        assert_bits_equal(compiled, ell_sweep_matvec(data, ell.indices, x))
+        csr_data = csr.data.astype(dtype)
+        assert_bits_equal(
+            compiled, csr_sweep_matvec(csr_data, csr.indices, csr.sweep_plan, x)
+        )
+        assert_bits_equal(
+            ell_sweep_matmat(data, ell.indices, block, plan=plan),
+            ell_sweep_matmat(data, ell.indices, block),
+        )
+        if dtype is np.float64:
+            assert_bits_equal(ell.matvec(x), csr.matvec(x))
+            assert_bits_equal(ell.matmat(block), csr.matmat(block))
+
+    def test_ell_plan_must_match_storage(self):
+        ell = ragged_csr().to_ell()
+        with pytest.raises(ShapeError, match="plan"):
+            ell_sweep_matvec(
+                ell.data, ell.indices, np.ones(40), plan=build_ell_plan(40, 2)
+            )
+
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
+    def test_device_matvec_under_sanitizer_reads_all_storage(self, fmt):
+        csr = ragged_csr(5)
+        device = Device(tiny_test_device())
+        if fmt == "csr":
+            arrays = {"H.data": csr.data, "H.indices": csr.indices}
+        else:
+            ell = csr.to_ell()
+            arrays = {"H.ell_data": ell.data, "H.ell_indices": ell.indices}
+        buffers = {}
+        for name, host in arrays.items():
+            buffers[name] = device.alloc(host.shape, dtype=host.dtype, name=name)
+            device.memcpy_htod(buffers[name], host)
+        if fmt == "csr":
+            d_indptr = device.alloc(41, dtype=np.int64, name="H.indptr")
+            device.memcpy_htod(d_indptr, csr.indptr)
+            matrix = DeviceMatrix(
+                csr_data=buffers["H.data"],
+                csr_indices=buffers["H.indices"],
+                csr_indptr=d_indptr,
+                shape=csr.shape,
+                host_indptr=csr.indptr,
+            )
+        else:
+            matrix = DeviceMatrix(
+                ell_data=buffers["H.ell_data"],
+                ell_indices=buffers["H.ell_indices"],
+                shape=csr.shape,
+            )
+        x = operand(np.random.default_rng(6), 40, np.float64)
+
+        class ReadLog(DeviceSanitizer):
+            def __init__(self):
+                super().__init__()
+                self.reads = {}
+
+            def on_read(self, shadow, idx):
+                self.reads.setdefault(shadow.name, []).append(np.array(idx))
+                super().on_read(shadow, idx)
+
+        def sanitized_matvec():
+            sanitizer = ReadLog()
+            with sanitizer.activate():
+                y = matrix.matvec(x)
+            return y, {
+                name: np.sort(np.concatenate(parts))
+                for name, parts in sanitizer.reads.items()
+            }
+
+        before, reads_before = sanitized_matvec()
+        compiled = matrix.matvec(x)  # un-instrumented: compiles the plan
+        after, reads_after = sanitized_matvec()
+        assert set(reads_before) == set(arrays)
+        for name, host in arrays.items():
+            # Every stored slot of the matrix is read exactly once, both
+            # before and after the un-instrumented matvec compiled the plan.
+            np.testing.assert_array_equal(reads_before[name], np.arange(host.size))
+            np.testing.assert_array_equal(reads_after[name], reads_before[name])
+        assert_bits_equal(compiled, before)
+        assert_bits_equal(after, before)
+        assert_bits_equal(compiled, csr.matvec(x))
 
 
 class TestTransformations:

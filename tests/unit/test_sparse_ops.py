@@ -20,6 +20,41 @@ class TestAsOperator:
         dense = DenseOperator(np.eye(2))
         assert as_operator(dense) is dense
 
+    def test_ell_passthrough(self):
+        ell = CSRMatrix.identity(3).to_ell()
+        assert as_operator(ell) is ell
+
+    def test_other_protocol_objects_pass_through(self):
+        class SubclassedCSR(CSRMatrix):
+            __slots__ = ()
+
+        identity = CSRMatrix.identity(3)
+        sub = SubclassedCSR(identity.indptr, identity.indices, identity.data, (3, 3))
+        assert as_operator(sub) is sub
+
+        class DuckOperator:
+            shape = (2, 2)
+            nnz_stored = 2
+            nbytes = 32
+
+            def matvec(self, x):
+                return x
+
+            def matmat(self, block):
+                return block
+
+            def to_dense(self):
+                return np.eye(2)
+
+            def diagonal(self):
+                return np.ones(2)
+
+            def offdiag_abs_row_sums(self):
+                return np.zeros(2)
+
+        duck = DuckOperator()
+        assert as_operator(duck) is duck
+
     def test_coo_converted_to_csr(self):
         coo = COOMatrix([0], [0], [1.0], (2, 2))
         op = as_operator(coo)
