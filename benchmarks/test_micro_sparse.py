@@ -9,7 +9,12 @@ import pytest
 
 from repro.lattice import cubic, tight_binding_hamiltonian
 from repro.sparse import CSRMatrix
-from repro.sparse.sweep import ell_sweep_matvec
+from repro.sparse.sweep import (
+    csr_sweep_matmat,
+    csr_sweep_matvec,
+    ell_sweep_matmat,
+    ell_sweep_matvec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +62,47 @@ class TestSpMV:
         np.testing.assert_array_equal(
             result, ell_sweep_matvec(ell.data, ell.indices, x)
         )
+
+
+class TestLanes:
+    """The device recursion's lane shapes: k = LANE_ELEMENTS // D columns."""
+
+    def test_csr_sweep_matmat_d1000_k32(self, benchmark, cube10_csr):
+        block = np.random.default_rng(0).standard_normal((1000, 32))
+        data, indices, plan = cube10_csr.data, cube10_csr.indices, cube10_csr.sweep_plan
+        result = benchmark(csr_sweep_matmat, data, indices, plan, block)
+        # Columns never mix: each equals its own canonical matvec.
+        for j in (0, 31):
+            column = csr_sweep_matvec(data, indices, plan, block[:, j].copy())
+            np.testing.assert_array_equal(result[:, j], column)
+
+    def test_ell_sweep_matmat_d8000_k4(self, benchmark, cube20_csr):
+        ell = cube20_csr.to_ell()
+        block = np.random.default_rng(0).standard_normal((8000, 4))
+        result = benchmark(
+            ell_sweep_matmat, ell.data, ell.indices, block, plan=ell.sweep_plan
+        )
+        # Reference: the per-call gather sweep (no compiled plan).
+        np.testing.assert_array_equal(
+            result, ell_sweep_matmat(ell.data, ell.indices, block)
+        )
+
+    def test_lane_width_does_not_change_mu_tilde(self, cube10_csr):
+        from repro.gpukpm import GpuKPM
+        from repro.kpm import KPMConfig, rescale_operator
+
+        scaled, _ = rescale_operator(cube10_csr)
+        config = KPMConfig(num_moments=64, num_random_vectors=32, seed=3)
+        tables = [
+            GpuKPM().run_partition(
+                scaled,
+                config.with_updates(block_size=block_size),
+                first_vector=0,
+                num_vectors=config.total_vectors,
+            )[0]
+            for block_size in (1, 256)
+        ]
+        assert np.array_equal(tables[0], tables[1])
 
 
 class TestSymmetry:

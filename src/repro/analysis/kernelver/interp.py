@@ -76,9 +76,16 @@ _HOST_FUNCS = frozenset(
         "dense_sweep_matvec",
         "csr_sweep_matvec",
         "ell_sweep_matvec",
+        "dense_sweep_matmat",
+        "csr_sweep_matmat",
+        "ell_sweep_matmat",
         "build_sweep_plan",
     }
 )
+
+#: ``DeviceMatrix`` methods that run the canonical sweep over every
+#: storage buffer and return a fresh host array.
+_MATRIX_PRODUCTS = frozenset({"matvec", "matmat"})
 
 _LOOP_FIXPOINT_ITERS = 8
 _INLINE_DEPTH = 6
@@ -93,6 +100,21 @@ class _EllipsisVal:
 class _RangeVal:
     lo: Affine
     hi_excl: Affine | None  # None: unbounded (opaque stop)
+
+
+@dataclass(frozen=True)
+class _LanesVal:
+    """``plan.lanes_of(block_id, w)``: the block's cell cut into lanes."""
+
+    family: tuple
+    total: Affine
+
+
+@dataclass(frozen=True)
+class _EnumVal:
+    """``enumerate(x)`` over a cell, its lanes, or one lane."""
+
+    inner: object
 
 
 @dataclass(frozen=True)
@@ -165,6 +187,20 @@ def _ref_values(contract: KernelContract, ref: Ref):
             return None
         return (Affine.of(0), parse_affine(spec.nnz))
     return None
+
+
+def _elements(value):
+    """What a ``for`` loop over ``value`` binds, as a cell subset.
+
+    Iterating a cell, the lanes of a cell, or one lane (itself a subset
+    of the cell) yields subsets of the cell that the loop reaches
+    exhaustively: :class:`CellElemVal`.  Anything else binds opaque.
+    """
+    if isinstance(value, (_LanesVal, CellElemVal)) or (
+        isinstance(value, CellVal) and value.shift == 0
+    ):
+        return CellElemVal(value.family, value.total)
+    return Opaque()
 
 
 def _join_env(a: dict, b: dict) -> dict:
@@ -384,7 +420,6 @@ class Interp:
     # -- loops ---------------------------------------------------------
     def _exec_for(self, node: ast.For) -> None:
         iter_val = self.eval(node.iter)
-        binding = Opaque()
         if isinstance(iter_val, _RangeVal):
             if isinstance(node.target, ast.Name):
                 sym = f"{node.target.id}#{node.lineno}"
@@ -393,8 +428,8 @@ class Interp:
             hi = None if iter_val.hi_excl is None else iter_val.hi_excl - 1
             self.domain = self.domain.with_bounds(sym, iter_val.lo, hi)
             binding = SymVal(Affine.of(sym))
-        elif isinstance(iter_val, CellVal) and iter_val.shift == 0:
-            binding = CellElemVal(iter_val.family, iter_val.total)
+        elif isinstance(iter_val, _EnumVal):
+            binding = TupleVal((Opaque(), _elements(iter_val.inner)))
         elif isinstance(iter_val, TupleVal):
             joined = Opaque()
             if iter_val.items:
@@ -402,6 +437,8 @@ class Interp:
                 for item in iter_val.items[1:]:
                     joined = join_values(joined, item)
             binding = joined
+        else:
+            binding = _elements(iter_val)
 
         pre_env = dict(self.env)
         cur = dict(self.env)
@@ -434,8 +471,14 @@ class Interp:
         if isinstance(target, ast.Name):
             env[target.id] = binding
         elif isinstance(target, (ast.Tuple, ast.List)):
-            for sub in target.elts:
-                self._bind_loop_target(env, sub, Opaque())
+            items = (
+                binding.items
+                if isinstance(binding, TupleVal)
+                and len(binding.items) == len(target.elts)
+                else [Opaque()] * len(target.elts)
+            )
+            for sub, item in zip(target.elts, items):
+                self._bind_loop_target(env, sub, item)
 
     # -- branches ------------------------------------------------------
     def _exec_if(self, node: ast.If) -> str:
@@ -823,6 +866,8 @@ class Interp:
             return Opaque() if name == "int" else Host()
         if name == "divmod":
             return TupleVal((Opaque(), Opaque()))
+        if name == "enumerate" and len(args) == 1 and _elements(args[0]) != Opaque():
+            return _EnumVal(args[0])
         if name in _HOST_FUNCS:
             for value in [*args, *kwargs.values()]:
                 self._touch_value(value, node)
@@ -866,9 +911,18 @@ class Interp:
                     return CellVal(("plan", base.param), base.total)
                 self.problem(node, "vectors_of with a non-block argument")
                 return Opaque()
+            if attr == "lanes_of":
+                if (
+                    args
+                    and isinstance(args[0], SymVal)
+                    and args[0].expr == Affine.of("block_id")
+                ):
+                    return _LanesVal(("plan", base.param), base.total)
+                self.problem(node, "lanes_of with a non-block argument")
+                return Opaque()
             return Opaque()
         if isinstance(base, MatrixVal):
-            if attr == "matvec":
+            if attr in _MATRIX_PRODUCTS:
                 spec = dict(self.contract.matrices)[base.param]
                 for field in MATRIX_FIELDS:
                     if matrix_field_extent(spec, field) is not None:

@@ -11,6 +11,9 @@ so far; and the partition idioms of the simulator get dedicated shapes:
   ``[0, total)``*.  Cells of the same family are disjoint across blocks
   and union-exact by construction, which is what makes both the
   race proof (RA017) and the coverage proof (RA019) discharge.
+  Looping over a cell, over its lanes (``plan.lanes_of(block_id, w)``)
+  or over one lane binds :class:`CellElemVal`: a subset of the cell
+  that the loop reaches exhaustively.
 * The CSR row-pointer walk (``starts = indptr[rows]; lengths =
   indptr[rows+1] - starts; pos = starts[lengths > k] + k``) is tracked
   through :class:`PtrVals` / :class:`RowLen` / :class:`LenMask` /

@@ -84,6 +84,16 @@ class GridPlan:
         start = block_id * self.block_size
         return range(start, min(start + self.block_size, self.total_vectors))
 
+    def lanes_of(self, block_id: int, width: int) -> list[range]:
+        """``vectors_of(block_id)`` cut into consecutive lanes of ``width``.
+
+        The lanes are disjoint, in order, and cover the block's vectors
+        exactly; only the last may be narrower.
+        """
+        width = check_positive_int(width, "width")
+        vectors = self.vectors_of(block_id)
+        return [vectors[i : i + width] for i in range(0, len(vectors), width)]
+
 
 def plan_grid(total_vectors: int, block_size: int, spec: GpuSpec) -> GridPlan:
     """Build the launch geometry, validating against device limits."""

@@ -40,6 +40,21 @@ bit-identical.  The plans live where the storage does
 (:class:`~repro.sparse.CSRMatrix`, :class:`~repro.sparse.ELLMatrix` and
 the device-side ``DeviceMatrix``) and are built on first use.
 
+**Blocks accumulate in place.**  A block sweep (``matmat``) over real
+storage runs each full-row slot as ``np.take(operand, cols, axis=0,
+out=buf)``, ``buf *= vals[:, None]``, ``out += buf`` into one reused
+gather buffer: the same products and sums as ``out += vals[:, None] *
+operand[cols]``, without the two temporaries (multiplication commutes
+exactly in IEEE-754).  Partial-row slots keep the scatter through
+``out[rows]``.  Columns never mix, so column ``j`` of a block sweep is
+bit-identical to the matvec of column ``j`` — which is what lets the
+device recursion run a block's vectors in lockstep lanes
+(:func:`repro.gpukpm.kernels.kpm_recursion_kernel`) with the moments of
+the one-vector-at-a-time program.  Only the matrix product is blocked:
+the moment dots stay one contiguous 1-D ``ddot`` per vector, because a
+strided ``ddot`` or an ``einsum`` reduction sums in another order.  A
+one-column block runs the vector loop on its column views.
+
 **Instrumented views take the gather path.**  Under an ambient
 :class:`~repro.sanitize.DeviceSanitizer` a device buffer's ``.data`` is
 a :class:`~repro.sanitize.view.SanitizedView`, not an ndarray.  The
@@ -93,11 +108,13 @@ class SweepPlan:
     def compiled(self, data, indices):
         """Per-slot ``(rows, vals, cols)`` gathered from raw storage.
 
-        ``rows`` is ``None`` for a slot that covers every row.  The
-        operands are gathered on the first call and reused while the
-        same ``data`` / ``indices`` arrays are passed.  Returns ``None``
-        when either is not a plain ndarray (an instrumented view), so
-        the caller gathers through it instead.
+        Returns ``(slots, n_cols)``: ``rows`` is ``None`` for a slot that
+        covers every row, and ``n_cols`` is one past the largest stored
+        column — the operand rows a sweep needs.  The operands are
+        gathered on the first call and reused while the same ``data`` /
+        ``indices`` arrays are passed.  Returns ``None`` when either is
+        not a plain ndarray (an instrumented view), so the caller
+        gathers through it instead.
         """
         if type(data) is not np.ndarray or type(indices) is not np.ndarray:
             return None
@@ -112,7 +129,10 @@ class SweepPlan:
                 )
                 for rows, positions in self.slots
             ]
-            cached = self._compiled = (data, indices, slots)
+            n_cols = max(
+                (int(cols.max()) + 1 for _, _, cols in slots if cols.size), default=0
+            )
+            cached = self._compiled = (data, indices, (slots, n_cols))
         return cached[2]
 
 
@@ -145,15 +165,48 @@ def build_ell_plan(n_rows: int, width: int) -> SweepPlan:
     return SweepPlan(n_rows, [(rows, rows * width + k) for k in range(width)])
 
 
-def _sweep_compiled(slots, out, operand) -> np.ndarray:
+def _gather_error(operand, exc: IndexError) -> ShapeError:
+    return ShapeError(
+        f"operand with {operand.shape[0]} rows is too short for the stored "
+        f"columns ({exc})"
+    )
+
+
+def _check_block(block) -> None:
+    if block.ndim != 2:
+        raise ShapeError(f"block must be 2-D, got shape {block.shape}")
+
+
+def _sweep_compiled(compiled, out, operand) -> np.ndarray:
     """Accumulate the compiled slots of ``A @ operand`` into ``out``."""
-    block = operand.ndim == 2
+    slots, n_cols = compiled
+    if operand.shape[0] < n_cols:
+        raise ShapeError(
+            f"operand has {operand.shape[0]} rows, the matrix needs {n_cols}"
+        )
+    if operand.ndim == 1 or operand.shape[1] == 1:
+        # A vector, or a one-column block through its column views: the
+        # 1-D loop has the least dispatch per slot.
+        vec, acc = (operand, out) if operand.ndim == 1 else (operand[:, 0], out[:, 0])
+        for rows, vals, cols in slots:
+            if rows is None:
+                acc += vals * vec[cols]
+            else:
+                acc[rows] += vals * vec[cols]
+        return out
+    # In place over one gather buffer (module docstring); indices are
+    # in range, so ``take`` skips its bounds-checking copy ("wrap").
+    in_place = out.dtype == operand.dtype and out.dtype.kind == "f"
+    buf = np.empty_like(out) if in_place else None
     for rows, vals, cols in slots:
-        products = (vals[:, None] if block else vals) * operand[cols]
-        if rows is None:
-            out += products
+        if rows is None and in_place:
+            operand.take(cols, axis=0, out=buf, mode="wrap")
+            buf *= vals[:, None]
+            out += buf
+        elif rows is None:
+            out += vals[:, None] * operand[cols]
         else:
-            out[rows] += products
+            out[rows] += vals[:, None] * operand[cols]
     return out
 
 
@@ -165,8 +218,11 @@ def csr_sweep_matvec(data, indices, plan: SweepPlan, x) -> np.ndarray:
     compiled = plan.compiled(data, indices)
     if compiled is not None:
         return _sweep_compiled(compiled, out, x)
-    for rows, positions in plan.slots:
-        out[rows] += data[positions] * x[indices[positions]]
+    try:
+        for rows, positions in plan.slots:
+            out[rows] += data[positions] * x[indices[positions]]
+    except IndexError as exc:
+        raise _gather_error(x, exc) from exc
     return out
 
 
@@ -174,12 +230,16 @@ def csr_sweep_matmat(data, indices, plan: SweepPlan, block) -> np.ndarray:
     """Canonical ``A @ B`` over CSR storage, column by column independent."""
     if not isinstance(plan, SweepPlan):
         raise ValidationError(f"plan must be a SweepPlan, got {type(plan).__name__}")
+    _check_block(block)
     out = np.zeros((plan.n_rows, block.shape[1]), dtype=np.result_type(data, block))
     compiled = plan.compiled(data, indices)
     if compiled is not None:
         return _sweep_compiled(compiled, out, block)
-    for rows, positions in plan.slots:
-        out[rows] += data[positions, None] * block[indices[positions], :]
+    try:
+        for rows, positions in plan.slots:
+            out[rows] += data[positions, None] * block[indices[positions], :]
+    except IndexError as exc:
+        raise _gather_error(block, exc) from exc
     return out
 
 
@@ -212,8 +272,11 @@ def ell_sweep_matvec(ell_data, ell_indices, x, *, plan=None) -> np.ndarray:
     compiled = _ell_compiled(ell_data, ell_indices, plan)
     if compiled is not None:
         return _sweep_compiled(compiled, out, x)
-    for k in range(ell_data.shape[1]):
-        out += ell_data[:, k] * x[ell_indices[:, k]]
+    try:
+        for k in range(ell_data.shape[1]):
+            out += ell_data[:, k] * x[ell_indices[:, k]]
+    except IndexError as exc:
+        raise _gather_error(x, exc) from exc
     return out
 
 
@@ -223,21 +286,34 @@ def ell_sweep_matmat(ell_data, ell_indices, block, *, plan=None) -> np.ndarray:
         raise ShapeError(
             f"ELL data/indices shapes differ: {ell_data.shape} vs {ell_indices.shape}"
         )
+    _check_block(block)
     out = np.zeros(
         (ell_data.shape[0], block.shape[1]), dtype=np.result_type(ell_data, block)
     )
     compiled = _ell_compiled(ell_data, ell_indices, plan)
     if compiled is not None:
         return _sweep_compiled(compiled, out, block)
-    for k in range(ell_data.shape[1]):
-        out += ell_data[:, k, None] * block[ell_indices[:, k], :]
+    try:
+        for k in range(ell_data.shape[1]):
+            out += ell_data[:, k, None] * block[ell_indices[:, k], :]
+    except IndexError as exc:
+        raise _gather_error(block, exc) from exc
     return out
+
+
+def _check_operand(array, operand) -> None:
+    if operand.shape[0] != array.shape[1]:
+        raise ShapeError(
+            f"operand has {operand.shape[0]} rows, the matrix has "
+            f"{array.shape[1]} columns"
+        )
 
 
 def dense_sweep_matvec(array, x) -> np.ndarray:
     """Canonical ``A @ x`` over dense storage (every column, ascending)."""
     if array.ndim != 2:
         raise ShapeError(f"array must be 2-D, got shape {array.shape}")
+    _check_operand(array, x)
     out = np.zeros(array.shape[0], dtype=np.result_type(array, x))
     for j in range(array.shape[1]):
         out += array[:, j] * x[j]
@@ -248,8 +324,8 @@ def dense_sweep_matmat(array, block) -> np.ndarray:
     """Canonical ``A @ B`` over dense storage."""
     if array.ndim != 2:
         raise ShapeError(f"array must be 2-D, got shape {array.shape}")
-    if block.ndim != 2:
-        raise ValidationError(f"block must be 2-D, got shape {block.shape}")
+    _check_block(block)
+    _check_operand(array, block)
     out = np.zeros((array.shape[0], block.shape[1]), dtype=np.result_type(array, block))
     for j in range(array.shape[1]):
         out += array[:, j, None] * block[j, :]

@@ -21,3 +21,23 @@ def _adhoc_product_kernel(ctx, matrix, x, n):
     stash = np.asarray(matrix.dense, dtype=np.float64)
     gram = stash @ stash.T
     return result, gram
+
+
+_BLOCK_CONTRACT = KernelContract(
+    symbols={"n": (1, None), "nnz": (0, None), "k": (1, None)},
+    arrays={"block": ArraySpec(extent=("n", "k"), role="in")},
+    matrices={"matrix": MatrixSpec("n", "n", nnz="nnz")},
+)
+
+
+@kernel("adhoc_block_product", contract=_BLOCK_CONTRACT)
+def _adhoc_block_kernel(ctx, matrix, block, n):
+    lane = np.asarray(block.data, dtype=np.float64)
+    return np.asarray(matrix.dense, dtype=np.float64) @ lane
+
+
+@kernel("canonical_block_product", contract=_BLOCK_CONTRACT)
+def _canonical_block_kernel(ctx, matrix, block, n):
+    # The canonical block entry point: a lane advanced through matmat.
+    lane = np.asarray(block.data, dtype=np.float64)
+    return matrix.matmat(lane)

@@ -81,15 +81,56 @@ class TestShippedKernelsProve:
         assert all(not mode.issues for mode in recursion.modes)
 
 
+class TestLaneRecursion:
+    """Lanes of a partition cell, and block products through matmat."""
+
+    def test_lane_stores_are_cell_elements(self):
+        reports = _verify_source(KERNELS_PY.read_text(encoding="utf-8"))
+        recursion = _report_for(reports, "kpm_recursion")
+        for mode in recursion.modes:
+            stores = [
+                access
+                for access in mode.result.accesses
+                if access.param in ("mu_tilde", "state_out")
+            ]
+            assert stores, mode.mode_name
+            assert all(
+                access.dims_text()[0] == "elem(plan/plan:num_vectors)"
+                for access in stores
+            ), mode.mode_name
+
+    def test_lanes_of_a_fixed_block_are_refused(self):
+        original = KERNELS_PY.read_text(encoding="utf-8")
+        target = "plan.lanes_of(ctx.linear_block_id, width)"
+        assert target in original
+        mutated = original.replace(target, "plan.lanes_of(0, width)")
+        recursion = _report_for(_verify_source(mutated), "kpm_recursion")
+        assert recursion.status == "failed"
+        assert any("lanes_of" in message for _, message in recursion.problems)
+
+    def test_matmat_reads_the_matrix_storage(self):
+        fixture = REPO / "tests" / "analysis" / "fixtures" / "gpukpm" / "ra018_bad.py"
+        reports = _verify_source(fixture.read_text(encoding="utf-8"))
+        report = _report_for(reports, "canonical_block_product")
+        assert report.status == "proven"
+        (mode,) = report.modes
+        read_fields = {
+            access.field
+            for access in mode.result.accesses
+            if access.param == "matrix" and access.kind == "read"
+        }
+        assert {"csr_data", "csr_indices", "csr_indptr"} <= read_fields
+
+
 class TestSeededMutants:
     """The verifier must reject classic device bugs without executing."""
 
     def test_off_by_one_store_is_caught(self):
         original = KERNELS_PY.read_text(encoding="utf-8")
-        target = "mu_tilde.data[v, order] = r0 @ ws[nxt]"
+        target = "mu_tilde.data[v, column] = r0[j] @ rows[j]"
         assert target in original
         mutated = original.replace(
-            target, "mu_tilde.data[v, order + 1] = r0 @ ws[nxt]"
+            target, "mu_tilde.data[v, column + 1] = r0[j] @ rows[j]"
         )
         recursion = _report_for(_verify_source(mutated), "kpm_recursion")
         assert recursion.status == "failed"

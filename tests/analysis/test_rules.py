@@ -371,7 +371,13 @@ class TestRA018CanonicalSweep:
         assert locations(report.findings) == [
             ("gpukpm/ra018_bad.py", 20, "RA018"),
             ("gpukpm/ra018_bad.py", 22, "RA018"),
+            ("gpukpm/ra018_bad.py", 36, "RA018"),
         ]
+
+    def test_block_product_through_matmat_is_clean(self):
+        messages = [f.message for f in scan(["RA018"]).findings]
+        assert any("adhoc_block_product" in m for m in messages)
+        assert not any("canonical_block_product" in m for m in messages)
 
     def test_messages_name_the_contraction_route(self):
         messages = [f.message for f in scan(["RA018"]).findings]
@@ -448,7 +454,7 @@ class TestFullSweep:
             "RA015": 3,
             "RA016": 1,
             "RA017": 1,
-            "RA018": 2,
+            "RA018": 3,
             "RA019": 1,
             "RA020": 4,
         }

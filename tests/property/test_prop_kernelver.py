@@ -3,7 +3,8 @@
 The verifier's proofs rest on two kinds of ground truth:
 
 * the *partition axioms* — ``ctx.thread_range`` and ``plan.vectors_of``
-  really do tile ``[0, total)`` with pairwise block-disjoint cells, so
+  (cut into ``plan.lanes_of``) really do tile ``[0, total)`` with
+  pairwise block-disjoint cells, so
   treating a partition cell as disjoint-by-construction (RA017) and
   exactly-once covering (RA019) is sound; and
 
@@ -112,6 +113,24 @@ class TestGridPlanPartition:
         plan = plan_grid(vectors, block_size, TESLA_C2050)
         with pytest.raises(ValidationError):
             plan.vectors_of(plan.num_blocks)
+
+    @given(
+        vectors=st.integers(1, 700),
+        block_size=st.sampled_from((1, 2, 32, 64, 256)),
+        width=st.integers(1, 40),
+    )
+    @settings(max_examples=60)
+    def test_lanes_tile_each_cell_in_order(self, vectors, block_size, width):
+        # Iterating a block's lanes (and each lane's vectors) reaches
+        # exactly the block's cell, in order, once: the axiom behind
+        # binding lanes and their elements as cell elements.
+        plan = plan_grid(vectors, block_size, TESLA_C2050)
+        for b in range(plan.num_blocks):
+            lanes = plan.lanes_of(b, width)
+            assert all(1 <= len(lane) <= width for lane in lanes)
+            assert all(len(lane) == width for lane in lanes[:-1])
+            flat = [v for lane in lanes for v in lane]
+            assert flat == list(plan.vectors_of(b))
 
 
 def _all_mode_results():

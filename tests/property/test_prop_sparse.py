@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
 from repro.sparse import COOMatrix, CSRMatrix
+from repro.sparse.sweep import csr_sweep_matmat, csr_sweep_matvec
 
 
 def sparse_dense_arrays(max_dim=12):
@@ -157,3 +158,42 @@ class TestSpectralHelpers:
         )
         reference = bool(np.max(np.abs(dense - dense.T), initial=0.0) <= tol)
         assert CSRMatrix.from_dense(dense).is_symmetric(tol) is reference
+
+
+@st.composite
+def uneven_symmetric_csr(draw, max_dim=24):
+    """Random symmetric CSR whose rows differ in length (partial-row slots)."""
+    dim = draw(st.integers(3, max_dim))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    # Per-row densities spread the row lengths.  A dense first column
+    # makes row 0 full, and the last row keeps only its column-0 bond
+    # and diagonal, so some slots always cover only part of the rows.
+    density = rng.random(dim)[:, None] ** 2
+    lower = np.where(
+        rng.random((dim, dim)) < density, rng.standard_normal((dim, dim)), 0.0
+    )
+    lower[:, 0] = rng.standard_normal(dim) + 4.0
+    lower[-1, 1:] = 0.0
+    dense = np.tril(lower, k=-1)
+    dense = dense + dense.T + np.diag(rng.standard_normal(dim))
+    return CSRMatrix.from_dense(dense)
+
+
+class TestBlockSweepColumns:
+    @given(
+        csr=uneven_symmetric_csr(),
+        width=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+        dtype=st.sampled_from((np.float64, np.float32)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_sweep_equals_column_matvecs(self, csr, width, seed, dtype):
+        data, plan = csr.data.astype(dtype), csr.sweep_plan
+        assert any(rows.size < csr.shape[0] for rows, _ in plan.slots)
+        block = np.random.default_rng(seed).standard_normal((csr.shape[0], width))
+        block = block.astype(dtype)
+        swept = csr_sweep_matmat(data, csr.indices, plan, block)
+        for j in range(width):
+            column = csr_sweep_matvec(data, csr.indices, plan, block[:, j].copy())
+            assert swept[:, j].tobytes() == column.tobytes()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.gpu import Device, TESLA_C2050, tiny_test_device
+from repro.gpukpm import kernels
 from repro.gpukpm import (
     GpuKPM,
     GpuSimEngine,
@@ -49,10 +50,70 @@ class TestFunctionalParity:
             gpu_data.per_realization, reference.per_realization, atol=1e-13
         )
 
-    def test_block_size_does_not_change_numerics(self, scaled_cube, small_config):
-        a, _ = GpuKPM().compute_moments(scaled_cube, small_config)
-        b, _ = GpuKPM().compute_moments(scaled_cube, small_config.with_updates(block_size=16))
-        np.testing.assert_allclose(a.mu, b.mu, atol=1e-15)
+    def test_block_size_does_not_change_numerics(self, scaled_cube, monkeypatch):
+        # Per-vector mu~ (and the captured recursion states) are the same
+        # bits for every block size and lane width, in all four launch
+        # modes, on every upload and in both precisions.  22 vectors
+        # leave a ragged last block at 16 and ragged lanes of 3.
+        dim = scaled_cube.shape[0]
+        base = KPMConfig(
+            num_moments=12, num_random_vectors=11, num_realizations=2, seed=7
+        )
+
+        def launches(fmt, config):
+            runner = GpuKPM(spmv_format=fmt)
+            total = config.total_vectors
+            cold, _, _ = runner.run_partition(
+                scaled_cube, config, first_vector=0, num_vectors=total
+            )
+            states = []
+            captured, _, _ = runner.run_partition(
+                scaled_cube,
+                config,
+                first_vector=0,
+                num_vectors=total,
+                state_sink=states.append,
+            )
+            longer = config.with_updates(num_moments=20)
+            resumed, _, _ = runner.run_partition(
+                scaled_cube,
+                longer,
+                first_vector=0,
+                num_vectors=total,
+                start_moment=config.num_moments,
+                resume_state=states[0],
+            )
+            final = []
+            resumed_captured, _, _ = runner.run_partition(
+                scaled_cube,
+                longer,
+                first_vector=0,
+                num_vectors=total,
+                start_moment=config.num_moments,
+                resume_state=states[0],
+                state_sink=final.append,
+            )
+            return cold, captured, states[0], resumed, resumed_captured, final[0]
+
+        for fmt in ("dense", "csr", "ell"):
+            for precision in ("double", "single"):
+                config = base.with_updates(precision=precision, block_size=1)
+                monkeypatch.setattr(kernels, "LANE_ELEMENTS", dim)
+                reference = launches(fmt, config)
+                for block_size in (1, 4, 16, 256):
+                    # One vector at a time, ragged lanes, the whole block.
+                    for lane_width in sorted({min(w, block_size) for w in (1, 3, 256)}):
+                        monkeypatch.setattr(
+                            kernels, "LANE_ELEMENTS", lane_width * dim
+                        )
+                        got = launches(fmt, config.with_updates(block_size=block_size))
+                        for want, have in zip(reference, got):
+                            assert np.array_equal(want, have), (
+                                fmt,
+                                precision,
+                                block_size,
+                                lane_width,
+                            )
 
     def test_reduce_kernel_mean_matches_table(self, scaled_cube, small_config):
         data, _ = GpuKPM().compute_moments(scaled_cube, small_config)

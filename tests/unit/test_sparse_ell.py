@@ -13,6 +13,8 @@ from repro.sparse.sweep import (
     build_ell_plan,
     csr_sweep_matmat,
     csr_sweep_matvec,
+    dense_sweep_matmat,
+    dense_sweep_matvec,
     ell_sweep_matmat,
     ell_sweep_matvec,
 )
@@ -242,6 +244,68 @@ class TestCompiledSweep:
             assert_bits_equal(ell.matvec(x), csr.matvec(x))
             assert_bits_equal(ell.matmat(block), csr.matmat(block))
 
+    @pytest.mark.parametrize(
+        "data_dtype, block_dtype",
+        [
+            (np.float64, np.float64),
+            (np.float32, np.float32),
+            (np.float32, np.float64),
+            (np.float64, np.float32),
+        ],
+    )
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    def test_block_columns_match_matvec(self, data_dtype, block_dtype, width):
+        # In-place full-row slots and scattered partial-row slots alike:
+        # column j of the block sweep is the matvec of column j.
+        csr = ragged_csr(6)
+        data, plan = csr.data.astype(data_dtype), csr.sweep_plan
+        block = operand(np.random.default_rng(width), (40, width), block_dtype)
+        ell = csr.to_ell()
+        ell_data = ell.data.astype(data_dtype)
+        ell_plan = build_ell_plan(*ell.data.shape)
+        csr_block = csr_sweep_matmat(data, csr.indices, plan, block)
+        ell_block = ell_sweep_matmat(ell_data, ell.indices, block, plan=ell_plan)
+        for j in range(width):
+            column = csr_sweep_matvec(data, csr.indices, plan, block[:, j].copy())
+            assert_bits_equal(csr_block[:, j], column)
+            assert_bits_equal(ell_block[:, j], column)
+
+    def test_device_matmat_under_sanitizer_reads_all_storage(self):
+        csr = ragged_csr(7)
+        device = Device(tiny_test_device())
+        buffers = {}
+        for name, host in (
+            ("H.data", csr.data),
+            ("H.indices", csr.indices),
+            ("H.indptr", csr.indptr),
+        ):
+            buffers[name] = device.alloc(host.shape, dtype=host.dtype, name=name)
+            device.memcpy_htod(buffers[name], host)
+        matrix = DeviceMatrix(
+            csr_data=buffers["H.data"],
+            csr_indices=buffers["H.indices"],
+            csr_indptr=buffers["H.indptr"],
+            shape=csr.shape,
+            host_indptr=csr.indptr,
+        )
+        block = operand(np.random.default_rng(8), (40, 4), np.float64)
+        reads = {}
+
+        class ReadLog(DeviceSanitizer):
+            def on_read(self, shadow, idx):
+                reads.setdefault(shadow.name, []).append(np.array(idx))
+                super().on_read(shadow, idx)
+
+        with ReadLog().activate():
+            sanitized = matrix.matmat(block)
+        for name in ("H.data", "H.indices"):
+            # The block sweep reads every stored slot once, like a matvec.
+            np.testing.assert_array_equal(
+                np.sort(np.concatenate(reads[name])), np.arange(csr.nnz_stored)
+            )
+        assert_bits_equal(sanitized, csr.matmat(block))
+        assert_bits_equal(matrix.matmat(block), sanitized)
+
     def test_ell_plan_must_match_storage(self):
         ell = ragged_csr().to_ell()
         with pytest.raises(ShapeError, match="plan"):
@@ -310,6 +374,51 @@ class TestCompiledSweep:
         assert_bits_equal(compiled, before)
         assert_bits_equal(after, before)
         assert_bits_equal(compiled, csr.matvec(x))
+
+
+class TestSweepShapeErrors:
+    """The raw sweep helpers reject mis-shaped operands with ShapeError."""
+
+    def test_csr_matmat_rejects_a_vector(self):
+        csr = ragged_csr()
+        with pytest.raises(ShapeError, match="2-D"):
+            csr_sweep_matmat(csr.data, csr.indices, csr.sweep_plan, np.ones(40))
+
+    def test_ell_matmat_rejects_a_vector(self):
+        ell = ragged_csr().to_ell()
+        with pytest.raises(ShapeError, match="2-D"):
+            ell_sweep_matmat(ell.data, ell.indices, np.ones(40), plan=ell.sweep_plan)
+        with pytest.raises(ShapeError, match="2-D"):
+            ell_sweep_matmat(ell.data, ell.indices, np.ones(40))
+
+    def test_csr_matvec_rejects_a_short_operand(self):
+        csr = ragged_csr()
+        data, indices = csr.data, csr.indices
+        with pytest.raises(ShapeError, match="rows"):
+            csr_sweep_matvec(data, indices, csr.sweep_plan, np.ones(20))
+        gather = data.view(_Uncompiled), indices.view(_Uncompiled)
+        with pytest.raises(ShapeError, match="too short"):
+            csr_sweep_matvec(*gather, csr.sweep_plan, np.ones(20))
+
+    def test_block_sweeps_reject_a_short_operand(self):
+        csr = ragged_csr()
+        ell = csr.to_ell()
+        short = np.ones((20, 3))
+        with pytest.raises(ShapeError, match="rows"):
+            csr_sweep_matmat(csr.data, csr.indices, csr.sweep_plan, short)
+        with pytest.raises(ShapeError, match="rows"):
+            ell_sweep_matmat(ell.data, ell.indices, short, plan=ell.sweep_plan)
+        with pytest.raises(ShapeError, match="too short"):
+            ell_sweep_matmat(ell.data, ell.indices, short)
+
+    def test_dense_sweeps_reject_a_short_operand(self):
+        array = sample_dense()
+        with pytest.raises(ShapeError, match="columns"):
+            dense_sweep_matvec(array, np.ones(3))
+        with pytest.raises(ShapeError, match="columns"):
+            dense_sweep_matmat(array, np.ones((3, 2)))
+        with pytest.raises(ShapeError, match="2-D"):
+            dense_sweep_matmat(array, np.ones(4))
 
 
 class TestTransformations:
