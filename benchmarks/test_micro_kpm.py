@@ -1,8 +1,12 @@
 """Microbenchmarks: measured wall-clock of the KPM numerics."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.kpm
 from repro.kpm import (
     KPMConfig,
     apply_kernel_damping,
@@ -12,6 +16,12 @@ from repro.kpm import (
     reconstruct_on_chebyshev_grid,
     rescale_operator,
     stochastic_moments,
+)
+from repro.kpm.moments import (
+    extend_moments_block,
+    extend_moments_single_vector,
+    moments_block_resumable,
+    moments_single_vector_resumable,
 )
 from repro.lattice import cubic, tight_binding_hamiltonian
 
@@ -45,6 +55,52 @@ class TestMomentRecursion:
         config = KPMConfig(num_moments=128, num_random_vectors=8, num_realizations=1)
         data = run_once(benchmark, stochastic_moments, scaled_cube10, config)
         assert data.num_moments == 128
+
+    def test_resumable_single_vector_cube4_n256(self, benchmark):
+        # The gateway's LDoS shape: a basis start vector on cubic(4), D=64.
+        scaled, _ = rescale_operator(tight_binding_hamiltonian(cubic(4), format="csr"))
+        start = np.zeros(64)
+        start[5] = 1.0
+        mu, checkpoint = benchmark(moments_single_vector_resumable, scaled, start, 256)
+        assert mu.shape == (256,) and checkpoint.num_moments == 256
+
+
+class TestRecursionCore:
+    @pytest.mark.parametrize("use_doubling", [False, True])
+    @pytest.mark.parametrize("block", [False, True])
+    def test_resume_then_extend_equals_cold_n256(self, scaled_cube10, block, use_doubling):
+        rng = np.random.default_rng(1)
+        if block:
+            start = rng.standard_normal((1000, 4))
+            cold, resumable, extend = (
+                moments_block, moments_block_resumable, extend_moments_block
+            )
+        else:
+            start = rng.standard_normal(1000)
+            cold, resumable, extend = (
+                moments_single_vector,
+                moments_single_vector_resumable,
+                extend_moments_single_vector,
+            )
+        mu, checkpoint = resumable(scaled_cube10, start, 61, use_doubling=use_doubling)
+        segment, checkpoint = extend(scaled_cube10, checkpoint, 128)
+        tail, _ = extend(scaled_cube10, checkpoint, 256)
+        reference = cold(scaled_cube10, start, 256, use_doubling=use_doubling)
+        assert np.array_equal(np.concatenate([mu, segment, tail]), reference)
+
+    def test_chebyshev_steps_is_the_only_host_recursion(self):
+        # Any `2.0 * <operator product> - prev` outside the core is a
+        # second copy of the three-term loop.
+        recursion = re.compile(r"2\.0 \* .*\.(?:matvec|matmat)\(")
+        sites = []
+        for path in sorted(Path(repro.kpm.__file__).parent.glob("*.py")):
+            function = None
+            for line in path.read_text(encoding="utf-8").splitlines():
+                if line.startswith("def "):
+                    function = line.split("(")[0][4:]
+                if recursion.search(line):
+                    sites.append((path.name, function))
+        assert sites == [("moments.py", "chebyshev_steps")]
 
 
 class TestReconstruction:

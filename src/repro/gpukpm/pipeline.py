@@ -264,15 +264,28 @@ class GpuKPM:
             raise ValidationError(
                 f"config must be a KPMConfig, got {type(config).__name__}"
             )
+        return self._moments(scaled_operator, config)
+
+    def _moments(
+        self, scaled_operator, config: KPMConfig, state_sink=None
+    ) -> tuple[MomentData, TimingReport]:
+        """One run over every vector, assembled into :class:`MomentData`.
+
+        ``state_sink`` is passed to :meth:`run_partition`; ``None`` (the
+        plain path) captures no recursion state.
+        """
         with WallTimer() as timer:
             host_mu_tilde, host_mu, device = self.run_partition(
-                scaled_operator, config, first_vector=0, num_vectors=config.total_vectors
+                scaled_operator,
+                config,
+                first_vector=0,
+                num_vectors=config.total_vectors,
+                state_sink=state_sink,
             )
         dim = as_operator(scaled_operator).shape[0]
-        num_moments = config.num_moments
         per_realization = (
             host_mu_tilde.reshape(
-                config.num_realizations, config.num_random_vectors, num_moments
+                config.num_realizations, config.num_random_vectors, config.num_moments
             ).mean(axis=1)
             / dim
         )
@@ -282,8 +295,7 @@ class GpuKPM:
             dimension=dim,
             num_vectors=config.num_random_vectors,
         )
-        report = self._timing_report(device, timer.seconds)
-        return data, report
+        return data, self._timing_report(device, timer.seconds)
 
     def _timing_report(self, device: Device, wall_seconds: float) -> TimingReport:
         breakdown = dict(device.profiler.seconds_by_kernel())
@@ -315,27 +327,7 @@ class GpuKPM:
             )
         captured: list[np.ndarray] = []
         sink = captured.append if config.num_moments >= 2 else None
-        with WallTimer() as timer:
-            host_mu_tilde, host_mu, device = self.run_partition(
-                scaled_operator,
-                config,
-                first_vector=0,
-                num_vectors=config.total_vectors,
-                state_sink=sink,
-            )
-        dim = as_operator(scaled_operator).shape[0]
-        per_realization = (
-            host_mu_tilde.reshape(
-                config.num_realizations, config.num_random_vectors, config.num_moments
-            ).mean(axis=1)
-            / dim
-        )
-        data = MomentData(
-            mu=host_mu / dim,
-            per_realization=per_realization,
-            dimension=dim,
-            num_vectors=config.num_random_vectors,
-        )
+        data, report = self._moments(scaled_operator, config, sink)
         state = None
         if captured:
             state = GpuMomentState(
@@ -344,7 +336,7 @@ class GpuKPM:
                 precision=config.precision,
                 data=captured[0],
             )
-        return data, self._timing_report(device, timer.seconds), state
+        return data, report, state
 
     def extend_moments(
         self, scaled_operator, config: KPMConfig, data: MomentData, state

@@ -44,6 +44,7 @@ import numpy as np
 from repro.errors import ShapeError, ValidationError
 from repro.kpm.config import KPMConfig
 from repro.kpm.kernels import get_kernel
+from repro.kpm.moments import chebyshev_steps
 from repro.kpm.random_vectors import random_vector
 from repro.kpm.rescale import Rescaling, rescale_operator
 from repro.lattice.lattice import Lattice
@@ -142,8 +143,11 @@ def _chebyshev_vectors(operator, start: np.ndarray, num_moments: int) -> np.ndar
     if num_moments == 1:
         return out
     out[1] = operator.matvec(start)
-    for order in range(2, num_moments):
-        out[order] = 2.0 * operator.matvec(out[order - 1]) - out[order - 2]
+
+    def store(order: int, _, nxt: np.ndarray) -> None:
+        out[order] = nxt
+
+    chebyshev_steps(operator, start, out[1], 2, num_moments, store)
     return out
 
 

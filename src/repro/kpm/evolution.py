@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import jv
 
 from repro.errors import ValidationError
+from repro.kpm.moments import chebyshev_steps
 from repro.kpm.rescale import rescale_operator
 from repro.sparse import as_operator
 from repro.util.validation import check_positive_float, check_positive_int
@@ -110,13 +111,13 @@ def evolve_state(
         result = coefficients[0] * start.astype(np.complex128)
         if num_terms == 1:
             return result
-        prev = start
         cur = scaled.matvec(start)
         result += coefficients[1] * cur
-        for n in range(2, num_terms):
-            nxt = 2.0 * scaled.matvec(cur) - prev
-            result += coefficients[n] * nxt
-            prev, cur = cur, nxt
+
+        def add_term(order: int, _, nxt: np.ndarray) -> None:
+            np.add(result, coefficients[order] * nxt, out=result)
+
+        chebyshev_steps(scaled, start, cur, 2, num_terms, add_term)
         return result
 
     evolved = accumulate(real0)

@@ -5,27 +5,43 @@ recursion
 
     |r_0> = |r>,  |r_1> = H~ |r_0>,  |r_{n+2}> = 2 H~ |r_{n+1}> - |r_n>,
 
-with one dot product ``mu~_n = <r_0 | r_n>`` per order.  This module
-provides the single-vector recursion, a column-batched version (the
-vectorized equivalent of the paper's thread-block parallelism), the
-moment-doubling variant (two moments per matvec — an optimization the
-paper leaves on the table), the full stochastic trace estimator, and the
-exact trace for validation.
+with one dot product ``mu~_n = <r_0 | r_n>`` per order.
 
-Moments returned by the *low-level* routines are raw ``<r|T_n(H~)|r>``
-values; :func:`stochastic_moments` and :func:`exact_moments` normalize by
-the dimension ``D`` so that ``mu_0 ~= 1``.
+**One core.**  :func:`chebyshev_steps` is the only host copy of that
+loop, for a vector (``matvec``) or a ``(D, R)`` block (``matmat``).
+The moment paths here, the conductivity expansion and the time
+propagator differ only in what they ``emit`` per order.  Moment
+doubling (two moments per matvec, from ``2 T_m T_n = T_{m+n} +
+T_{|m-n|}``; Weiße et al. Sec. II.D) is one such emitter: each new
+``a_n = T_n(H~) r_0`` yields ``mu_{2n-1} = 2<a_n|a_{n-1}> - mu_1`` and
+``mu_{2n} = 2<a_n|a_n> - mu_0``.
 
-**Prefix closedness and checkpointed resume.**  ``mu_n`` depends only on
-``r_0 .. r_n`` — never on the truncation order ``N`` — so a moment
-sequence computed at order ``N`` contains, bit-for-bit, the sequence any
-smaller order would have produced.  The ``*_resumable`` variants exploit
-the converse direction: they return a :class:`RecursionCheckpoint`
-holding the recursion's tail vectors, and :func:`extend_moments_block` /
-:func:`extend_moments_single_vector` continue the *identical* loop from
-that state, producing orders ``[N, M)`` bit-identical to a cold run at
-``M`` without replaying orders ``0 .. N-1``.  The serve layer's
-prefix-closed moment cache is built on exactly this contract.
+**A cold run is a resume from ``mu_0``.**  Every run builds the order-0
+:class:`RecursionCheckpoint` and extends it, so a cold run at ``M``
+and a run at ``N`` extended to ``M`` execute the same floating-point
+operations in the same order: ``concat(moments(N), extend(N -> M))`` is
+bit-identical to ``moments(M)`` by construction.  ``mu_n`` depends only
+on ``r_0 .. r_n``, never on the truncation order, so moments are also
+prefix-closed.  The serve layer's prefix-closed moment cache is built
+on this contract.
+
+**Dots.**  A vector's moments reduce with BLAS (``float(a @ b)``); a
+block's reduce each column with ``einsum("ij,ij->j")``.  The two sum
+in different orders, so column ``r`` of :func:`moments_block` equals
+:func:`moments_single_vector` on that column only up to rounding.
+
+Entry points (each validates its inputs, then runs the core):
+
+- :func:`moments_single_vector`, :func:`moments_block` — raw moments
+  ``<r|T_n(H~)|r>``;
+- :func:`moments_single_vector_resumable`,
+  :func:`moments_block_resumable` — the same plus a checkpoint, and
+  :func:`extend_moments_single_vector`, :func:`extend_moments_block`
+  to continue it;
+- :func:`stochastic_moments`, :func:`stochastic_moments_resumable`,
+  :func:`extend_stochastic_moments` — the stochastic trace estimator,
+  normalized by ``D`` so that ``mu_0 ~= 1``;
+- :func:`exact_moments` — the exact trace, for validation.
 """
 
 from __future__ import annotations
@@ -44,6 +60,7 @@ __all__ = [
     "MomentData",
     "RecursionCheckpoint",
     "TraceCheckpoint",
+    "chebyshev_steps",
     "moments_single_vector",
     "moments_block",
     "moments_single_vector_resumable",
@@ -140,12 +157,197 @@ class MomentData:
         )
 
 
-def _check_moment_magnitude(value: float, order: int) -> None:
-    if not np.isfinite(value) or abs(value) > _DIVERGENCE_FACTOR:
+@dataclass
+class RecursionCheckpoint:
+    """Resumable tail state of one three-term recursion.
+
+    Everything :func:`extend_moments_single_vector` /
+    :func:`extend_moments_block` need to continue the loop exactly where
+    a previous run stopped.  ``start`` is the checkpoint's own copy of
+    ``|r_0>`` (or of the ``(D, R)`` start block); in the plain path
+    ``prev``/``cur`` are ``r_{N-2}``/``r_{N-1}`` and ``k == N - 1``; in
+    the doubling path they are ``a_{k-1}``/``a_k`` with ``k`` the
+    Chebyshev index of ``cur`` (for odd ``N`` the last half-step produces
+    no new ``a``, so ``k`` can lag ``N``).  ``mu0`` / ``mu1`` are the raw
+    order-0/1 moments the doubling corrections reference; ``scale`` is
+    the divergence-check normalization.  At ``num_moments == 1`` the
+    recursion has not started: ``prev``, ``cur`` and ``mu1`` are
+    ``None``.
+    """
+
+    start: np.ndarray
+    prev: np.ndarray | None
+    cur: np.ndarray | None
+    k: int
+    num_moments: int
+    scale: float
+    use_doubling: bool
+    mu0: object
+    mu1: object
+
+
+@dataclass
+class TraceCheckpoint:
+    """Resumable state of a :func:`stochastic_moments` run.
+
+    One :class:`RecursionCheckpoint` per realization, in realization
+    order.  Opaque to callers — hand it back to
+    :func:`extend_stochastic_moments` unchanged.
+    """
+
+    checkpoints: list
+
+    @property
+    def num_moments(self) -> int:
+        """Orders already produced (0 when the checkpoint list is empty)."""
+        if not self.checkpoints:
+            return 0
+        return int(self.checkpoints[0].num_moments)
+
+
+def chebyshev_steps(operator, prev, cur, start: int, stop: int, emit):
+    """Run the three-term recursion for ``order`` in ``[start, stop)``.
+
+    Each step computes ``nxt = 2 H~ cur - prev`` — ``operator.matvec``
+    for a vector, ``operator.matmat`` for a ``(D, R)`` block — calls
+    ``emit(order, cur, nxt)`` and shifts ``(prev, cur) <- (cur, nxt)``.
+    With ``prev``/``cur`` holding ``T_{start-2}``/``T_{start-1}`` applied
+    to a start vector, ``order`` is the Chebyshev index of ``nxt``.
+
+    ``operator`` is an operator-protocol object (see
+    :func:`repro.sparse.as_operator`); ``prev`` and ``cur`` are never
+    written.  Returns the final ``(prev, cur)``, from which a later call
+    continues the recursion.
+    """
+    if prev.shape != cur.shape:
+        raise ShapeError(
+            f"prev and cur must have the same shape, got {prev.shape} and {cur.shape}"
+        )
+    vector = cur.ndim == 1
+    for order in range(start, stop):
+        nxt = 2.0 * (operator.matvec(cur) if vector else operator.matmat(cur)) - prev
+        emit(order, cur, nxt)
+        prev, cur = cur, nxt
+    return prev, cur
+
+
+def _check_moment_magnitude(value, order: int, scale: float) -> None:
+    # Runs once per order: a scalar moment takes a path without numpy calls.
+    peak = abs(value) if isinstance(value, float) else float(np.max(np.abs(value)))
+    magnitude = peak / scale
+    if not magnitude <= _DIVERGENCE_FACTOR:  # also true for NaN
         raise SpectrumError(
-            f"moment of order {order} diverged (value {value!r}); the operator's "
+            f"moment of order {order} diverged (|value| {magnitude!r}); the operator's "
             "spectrum is not contained in [-1, 1] — rescale it first "
             "(repro.kpm.rescale_operator)"
+        )
+
+
+def _dots(a: np.ndarray, b: np.ndarray):
+    """``<a|b>`` per vector: a float for vectors, an ``(R,)`` row for blocks."""
+    if a.ndim == 1:
+        return float(a @ b)
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _cold(op, start, num_moments: int, use_doubling: bool, ndim: int):
+    """Moments ``[0, num_moments)`` and their checkpoint: a resume from ``mu_0``."""
+    # The checkpoint owns its start vector: a caller editing theirs later
+    # must not change what an extension computes.
+    start = np.array(start, dtype=np.float64)
+    if start.ndim != ndim or start.shape[0] != op.shape[0]:
+        name = "start_vector" if ndim == 1 else "start_block"
+        expected = f"({op.shape[0]},)" if ndim == 1 else f"({op.shape[0]}, R)"
+        raise ShapeError(f"{name} must have shape {expected}, got {start.shape}")
+    mu0 = _dots(start, start)
+    mu = np.empty((num_moments,) + start.shape[1:], dtype=np.float64)
+    mu[0] = mu0
+    checkpoint = RecursionCheckpoint(
+        start=start,
+        prev=None,
+        cur=None,
+        k=0,
+        num_moments=1,
+        scale=float(np.max(mu0, initial=1.0)),
+        use_doubling=bool(use_doubling),
+        mu0=mu0,
+        mu1=None,
+    )
+    if num_moments > 1:
+        segment, checkpoint = _extend(op, checkpoint, num_moments)
+        mu[1:] = segment
+    return mu, checkpoint
+
+
+def _extend(op, checkpoint: RecursionCheckpoint, num_moments: int):
+    """Orders ``[checkpoint.num_moments, num_moments)`` and the advanced checkpoint."""
+    start, scale, base = checkpoint.start, checkpoint.scale, checkpoint.num_moments
+    segment = np.empty((num_moments - base,) + start.shape[1:], dtype=np.float64)
+
+    def store(order: int, value) -> None:
+        segment[order - base] = value
+        _check_moment_magnitude(value, order, scale)
+
+    prev, cur, k, mu1 = checkpoint.prev, checkpoint.cur, checkpoint.k, checkpoint.mu1
+    if cur is None:
+        # Only mu_0 is known: r_1 = H~ r_0 starts the recursion.
+        cur = op.matvec(start) if start.ndim == 1 else op.matmat(start)
+        prev, k, mu1 = start, 1, _dots(start, cur)
+        store(1, mu1)
+    if checkpoint.use_doubling:
+        # prev/cur are a_{k-1}/a_k; mu_{2k} is already known for odd bases.
+        mu0 = checkpoint.mu0
+        if base <= 2 * k < num_moments:
+            store(2 * k, 2.0 * _dots(cur, cur) - mu0)
+
+        def emit(n: int, a_prev, a_n) -> None:
+            store(2 * n - 1, 2.0 * _dots(a_n, a_prev) - mu1)
+            if 2 * n < num_moments:
+                store(2 * n, 2.0 * _dots(a_n, a_n) - mu0)
+
+        last = num_moments // 2
+        prev, cur = chebyshev_steps(op, prev, cur, k + 1, last + 1, emit)
+        k = max(k, last)
+    else:
+
+        def emit(order: int, _, r_n) -> None:
+            store(order, _dots(start, r_n))
+
+        prev, cur = chebyshev_steps(op, prev, cur, max(base, 2), num_moments, emit)
+        k = num_moments - 1
+    advanced = RecursionCheckpoint(
+        start=start,
+        prev=prev,
+        cur=cur,
+        k=k,
+        num_moments=num_moments,
+        scale=scale,
+        use_doubling=checkpoint.use_doubling,
+        mu0=checkpoint.mu0,
+        mu1=mu1,
+    )
+    return segment, advanced
+
+
+def _check_resume(checkpoint, ndim: int, op, num_moments: int) -> None:
+    if not isinstance(checkpoint, RecursionCheckpoint):
+        raise ValidationError(
+            f"checkpoint must be a RecursionCheckpoint, got {type(checkpoint).__name__}"
+        )
+    if checkpoint.start.ndim != ndim:
+        raise ShapeError(
+            f"checkpoint start vector must be {ndim}-dimensional, got "
+            f"shape {checkpoint.start.shape}"
+        )
+    if checkpoint.start.shape[0] != op.shape[0]:
+        raise ShapeError(
+            f"checkpoint dimension {checkpoint.start.shape[0]} does not match "
+            f"operator dimension {op.shape[0]}"
+        )
+    if num_moments <= checkpoint.num_moments:
+        raise ValidationError(
+            f"extension target {num_moments} must exceed the checkpoint's "
+            f"{checkpoint.num_moments} moments"
         )
 
 
@@ -168,42 +370,7 @@ def moments_single_vector(
     """
     op = as_operator(operator)
     num_moments = check_positive_int(num_moments, "num_moments")
-    r0 = np.asarray(start_vector, dtype=np.float64)
-    if r0.ndim != 1 or r0.shape[0] != op.shape[0]:
-        raise ShapeError(
-            f"start_vector must have length {op.shape[0]}, got shape {r0.shape}"
-        )
-    mu = np.empty(num_moments, dtype=np.float64)
-    norm_sq = float(r0 @ r0)
-    mu[0] = norm_sq
-    if num_moments == 1:
-        return mu
-    r_cur = op.matvec(r0)
-    mu[1] = float(r0 @ r_cur)
-    _check_moment_magnitude(mu[1] / max(norm_sq, 1.0), 1)
-
-    if use_doubling:
-        # alpha_k = T_k(H~) r0; two moments per additional matvec.
-        a_prev, a_cur = r0, r_cur
-        k = 1
-        while 2 * k < num_moments:
-            mu[2 * k] = 2.0 * float(a_cur @ a_cur) - mu[0]
-            _check_moment_magnitude(mu[2 * k] / max(norm_sq, 1.0), 2 * k)
-            if 2 * k + 1 < num_moments:
-                a_next = 2.0 * op.matvec(a_cur) - a_prev
-                mu[2 * k + 1] = 2.0 * float(a_next @ a_cur) - mu[1]
-                _check_moment_magnitude(mu[2 * k + 1] / max(norm_sq, 1.0), 2 * k + 1)
-                a_prev, a_cur = a_cur, a_next
-            k += 1
-        return mu
-
-    r_prev = r0.copy()
-    for order in range(2, num_moments):
-        r_next = 2.0 * op.matvec(r_cur) - r_prev
-        mu[order] = float(r0 @ r_next)
-        _check_moment_magnitude(mu[order] / max(norm_sq, 1.0), order)
-        r_prev, r_cur = r_cur, r_next
-    return mu
+    return _cold(op, start_vector, num_moments, use_doubling, 1)[0]
 
 
 def moments_block(
@@ -217,90 +384,7 @@ def moments_block(
     """
     op = as_operator(operator)
     num_moments = check_positive_int(num_moments, "num_moments")
-    block0 = np.asarray(start_block, dtype=np.float64)
-    if block0.ndim != 2 or block0.shape[0] != op.shape[0]:
-        raise ShapeError(
-            f"start_block must have shape ({op.shape[0]}, R), got {block0.shape}"
-        )
-    num_vectors = block0.shape[1]
-    mu = np.empty((num_moments, num_vectors), dtype=np.float64)
-    norms_sq = np.einsum("ij,ij->j", block0, block0)
-    mu[0] = norms_sq
-    if num_moments == 1:
-        return mu
-    cur = op.matmat(block0)
-    mu[1] = np.einsum("ij,ij->j", block0, cur)
-
-    scale = max(float(norms_sq.max(initial=1.0)), 1.0)
-    _check_moment_magnitude(float(np.max(np.abs(mu[1]))) / scale, 1)
-
-    if use_doubling:
-        prev, k = block0, 1
-        while 2 * k < num_moments:
-            mu[2 * k] = 2.0 * np.einsum("ij,ij->j", cur, cur) - mu[0]
-            _check_moment_magnitude(float(np.max(np.abs(mu[2 * k]))) / scale, 2 * k)
-            if 2 * k + 1 < num_moments:
-                nxt = 2.0 * op.matmat(cur) - prev
-                mu[2 * k + 1] = 2.0 * np.einsum("ij,ij->j", nxt, cur) - mu[1]
-                _check_moment_magnitude(
-                    float(np.max(np.abs(mu[2 * k + 1]))) / scale, 2 * k + 1
-                )
-                prev, cur = cur, nxt
-            k += 1
-        return mu
-
-    prev = block0.copy()
-    for order in range(2, num_moments):
-        nxt = 2.0 * op.matmat(cur) - prev
-        mu[order] = np.einsum("ij,ij->j", block0, nxt)
-        _check_moment_magnitude(float(np.max(np.abs(mu[order]))) / scale, order)
-        prev, cur = cur, nxt
-    return mu
-
-
-@dataclass
-class RecursionCheckpoint:
-    """Resumable tail state of one three-term recursion.
-
-    Everything :func:`extend_moments_single_vector` /
-    :func:`extend_moments_block` need to continue the loop exactly where
-    a cold run stopped.  ``start`` is ``|r_0>`` (or the ``(D, R)`` start
-    block); in the plain path ``prev``/``cur`` are ``r_{N-2}``/``r_{N-1}``
-    and ``k == N - 1``; in the doubling path they are ``a_{k-1}``/``a_k``
-    with ``k`` the Chebyshev index of ``cur`` (for odd ``N`` the last
-    half-step produces no new ``a``, so ``k`` can lag ``N``).  ``mu0`` /
-    ``mu1`` are the raw order-0/1 moments the doubling corrections
-    reference; ``scale`` is the divergence-check normalization.  At
-    ``num_moments == 1`` the recursion has not started: ``prev``, ``cur``
-    and ``mu1`` are ``None``.
-    """
-
-    start: np.ndarray
-    prev: np.ndarray | None
-    cur: np.ndarray | None
-    k: int
-    num_moments: int
-    scale: float
-    use_doubling: bool
-    mu0: object
-    mu1: object
-
-
-def _checkpoint_matches(checkpoint, ndim: int, op) -> None:
-    if not isinstance(checkpoint, RecursionCheckpoint):
-        raise ValidationError(
-            f"checkpoint must be a RecursionCheckpoint, got {type(checkpoint).__name__}"
-        )
-    if checkpoint.start.ndim != ndim:
-        raise ShapeError(
-            f"checkpoint start vector must be {ndim}-dimensional, got "
-            f"shape {checkpoint.start.shape}"
-        )
-    if checkpoint.start.shape[0] != op.shape[0]:
-        raise ShapeError(
-            f"checkpoint dimension {checkpoint.start.shape[0]} does not match "
-            f"operator dimension {op.shape[0]}"
-        )
+    return _cold(op, start_block, num_moments, use_doubling, 2)[0]
 
 
 def moments_single_vector_resumable(
@@ -308,38 +392,13 @@ def moments_single_vector_resumable(
 ) -> tuple[np.ndarray, RecursionCheckpoint]:
     """:func:`moments_single_vector` plus a resumable checkpoint.
 
-    The returned moments are bit-identical to
-    :func:`moments_single_vector` (the loop body is shared with
-    :func:`extend_moments_single_vector`, which performs the same
-    floating-point operations in the same order); the checkpoint lets a
-    later call extend the sequence without replaying from ``mu_0``.
+    The moments are bit-identical to :func:`moments_single_vector`; the
+    checkpoint lets :func:`extend_moments_single_vector` raise the order
+    later without replaying from ``mu_0``.
     """
     op = as_operator(operator)
     num_moments = check_positive_int(num_moments, "num_moments")
-    r0 = np.asarray(start_vector, dtype=np.float64)
-    if r0.ndim != 1 or r0.shape[0] != op.shape[0]:
-        raise ShapeError(
-            f"start_vector must have length {op.shape[0]}, got shape {r0.shape}"
-        )
-    norm_sq = float(r0 @ r0)
-    mu = np.empty(num_moments, dtype=np.float64)
-    mu[0] = norm_sq
-    checkpoint = RecursionCheckpoint(
-        start=r0,
-        prev=None,
-        cur=None,
-        k=0,
-        num_moments=1,
-        scale=max(norm_sq, 1.0),
-        use_doubling=bool(use_doubling),
-        mu0=norm_sq,
-        mu1=None,
-    )
-    if num_moments == 1:
-        return mu, checkpoint
-    segment, checkpoint = extend_moments_single_vector(op, checkpoint, num_moments)
-    mu[1:] = segment
-    return mu, checkpoint
+    return _cold(op, start_vector, num_moments, use_doubling, 1)
 
 
 def extend_moments_single_vector(
@@ -349,69 +408,13 @@ def extend_moments_single_vector(
 
     Returns the *new segment* — raw moments of orders
     ``[checkpoint.num_moments, num_moments)`` — and the advanced
-    checkpoint.  Because the loop body repeats the cold path's operations
-    exactly, ``concat(old, segment)`` is bit-identical to a cold
+    checkpoint.  ``concat(old, segment)`` is bit-identical to a cold
     :func:`moments_single_vector` run at ``num_moments``.
     """
     op = as_operator(operator)
     num_moments = check_positive_int(num_moments, "num_moments")
-    _checkpoint_matches(checkpoint, 1, op)
-    base = checkpoint.num_moments
-    if num_moments <= base:
-        raise ValidationError(
-            f"extension target {num_moments} must exceed the checkpoint's "
-            f"{base} moments"
-        )
-    r0 = checkpoint.start
-    scale = checkpoint.scale
-    segment = np.empty(num_moments - base, dtype=np.float64)
-
-    def emit(order: int, value: float) -> None:
-        segment[order - base] = value
-        _check_moment_magnitude(value / scale, order)
-
-    prev, cur, k = checkpoint.prev, checkpoint.cur, checkpoint.k
-    mu1 = checkpoint.mu1
-    known = base
-    if cur is None:
-        # Only mu_0 is known: bootstrap exactly like the cold path.
-        cur = op.matvec(r0)
-        mu1 = float(r0 @ cur)
-        emit(1, mu1)
-        prev = r0 if checkpoint.use_doubling else r0.copy()
-        k = 1
-        known = 2
-    if checkpoint.use_doubling:
-        mu0 = checkpoint.mu0
-        while 2 * k < num_moments:
-            if 2 * k >= known:
-                emit(2 * k, 2.0 * float(cur @ cur) - mu0)
-            if 2 * k + 1 < num_moments:
-                nxt = 2.0 * op.matvec(cur) - prev
-                if 2 * k + 1 >= known:
-                    emit(2 * k + 1, 2.0 * float(nxt @ cur) - mu1)
-                prev, cur = cur, nxt
-                k += 1
-            else:
-                break
-    else:
-        for order in range(max(known, 2), num_moments):
-            nxt = 2.0 * op.matvec(cur) - prev
-            emit(order, float(r0 @ nxt))
-            prev, cur = cur, nxt
-        k = num_moments - 1
-    advanced = RecursionCheckpoint(
-        start=r0,
-        prev=prev,
-        cur=cur,
-        k=k,
-        num_moments=num_moments,
-        scale=scale,
-        use_doubling=checkpoint.use_doubling,
-        mu0=checkpoint.mu0,
-        mu1=mu1,
-    )
-    return segment, advanced
+    _check_resume(checkpoint, 1, op, num_moments)
+    return _extend(op, checkpoint, num_moments)
 
 
 def moments_block_resumable(
@@ -420,31 +423,7 @@ def moments_block_resumable(
     """:func:`moments_block` plus a resumable checkpoint (see above)."""
     op = as_operator(operator)
     num_moments = check_positive_int(num_moments, "num_moments")
-    block0 = np.asarray(start_block, dtype=np.float64)
-    if block0.ndim != 2 or block0.shape[0] != op.shape[0]:
-        raise ShapeError(
-            f"start_block must have shape ({op.shape[0]}, R), got {block0.shape}"
-        )
-    num_vectors = block0.shape[1]
-    mu = np.empty((num_moments, num_vectors), dtype=np.float64)
-    norms_sq = np.einsum("ij,ij->j", block0, block0)
-    mu[0] = norms_sq
-    checkpoint = RecursionCheckpoint(
-        start=block0,
-        prev=None,
-        cur=None,
-        k=0,
-        num_moments=1,
-        scale=max(float(norms_sq.max(initial=1.0)), 1.0),
-        use_doubling=bool(use_doubling),
-        mu0=norms_sq,
-        mu1=None,
-    )
-    if num_moments == 1:
-        return mu, checkpoint
-    segment, checkpoint = extend_moments_block(op, checkpoint, num_moments)
-    mu[1:] = segment
-    return mu, checkpoint
+    return _cold(op, start_block, num_moments, use_doubling, 2)
 
 
 def extend_moments_block(
@@ -453,86 +432,40 @@ def extend_moments_block(
     """Resume a block recursion; returns the ``(new_orders, R)`` segment.
 
     Block analogue of :func:`extend_moments_single_vector` — same
-    contract: the segment stacked under the cold prefix is bit-identical
+    contract: the segment stacked under the old moments is bit-identical
     to a cold :func:`moments_block` run at ``num_moments``.
     """
     op = as_operator(operator)
     num_moments = check_positive_int(num_moments, "num_moments")
-    _checkpoint_matches(checkpoint, 2, op)
-    base = checkpoint.num_moments
-    if num_moments <= base:
-        raise ValidationError(
-            f"extension target {num_moments} must exceed the checkpoint's "
-            f"{base} moments"
-        )
-    block0 = checkpoint.start
-    scale = checkpoint.scale
-    segment = np.empty((num_moments - base, block0.shape[1]), dtype=np.float64)
-
-    def emit(order: int, row: np.ndarray) -> None:
-        segment[order - base] = row
-        _check_moment_magnitude(float(np.max(np.abs(row))) / scale, order)
-
-    prev, cur, k = checkpoint.prev, checkpoint.cur, checkpoint.k
-    mu1 = checkpoint.mu1
-    known = base
-    if cur is None:
-        cur = op.matmat(block0)
-        mu1 = np.einsum("ij,ij->j", block0, cur)
-        emit(1, mu1)
-        prev = block0 if checkpoint.use_doubling else block0.copy()
-        k = 1
-        known = 2
-    if checkpoint.use_doubling:
-        mu0 = checkpoint.mu0
-        while 2 * k < num_moments:
-            if 2 * k >= known:
-                emit(2 * k, 2.0 * np.einsum("ij,ij->j", cur, cur) - mu0)
-            if 2 * k + 1 < num_moments:
-                nxt = 2.0 * op.matmat(cur) - prev
-                if 2 * k + 1 >= known:
-                    emit(2 * k + 1, 2.0 * np.einsum("ij,ij->j", nxt, cur) - mu1)
-                prev, cur = cur, nxt
-                k += 1
-            else:
-                break
-    else:
-        for order in range(max(known, 2), num_moments):
-            nxt = 2.0 * op.matmat(cur) - prev
-            emit(order, np.einsum("ij,ij->j", block0, nxt))
-            prev, cur = cur, nxt
-        k = num_moments - 1
-    advanced = RecursionCheckpoint(
-        start=block0,
-        prev=prev,
-        cur=cur,
-        k=k,
-        num_moments=num_moments,
-        scale=scale,
-        use_doubling=checkpoint.use_doubling,
-        mu0=checkpoint.mu0,
-        mu1=mu1,
-    )
-    return segment, advanced
+    _check_resume(checkpoint, 2, op, num_moments)
+    return _extend(op, checkpoint, num_moments)
 
 
-@dataclass
-class TraceCheckpoint:
-    """Resumable state of a :func:`stochastic_moments` run.
+def _stochastic(op, config: KPMConfig, *, checkpoints=None, per_vector=None):
+    """Run every realization's block recursion cold and average the moments.
 
-    One :class:`RecursionCheckpoint` per realization, in realization
-    order.  Opaque to callers — hand it back to
-    :func:`extend_stochastic_moments` unchanged.
+    Appends each realization's checkpoint to ``checkpoints`` and stores
+    its raw per-vector moments in ``per_vector`` when those are given.
     """
-
-    checkpoints: list
-
-    @property
-    def num_moments(self) -> int:
-        """Orders already produced (0 when the checkpoint list is empty)."""
-        if not self.checkpoints:
-            return 0
-        return int(self.checkpoints[0].num_moments)
+    dim = op.shape[0]
+    n, r, s = config.num_moments, config.num_random_vectors, config.num_realizations
+    per_realization = np.empty((s, n), dtype=np.float64)
+    for realization in range(s):
+        block = random_block(
+            dim, r, config.vector_kind, seed=config.seed, realization=realization
+        )
+        raw, checkpoint = _cold(op, block, n, config.use_doubling, 2)  # (N, R)
+        if checkpoints is not None:
+            checkpoints.append(checkpoint)
+        if per_vector is not None:
+            per_vector[realization] = raw.T / dim
+        per_realization[realization] = raw.mean(axis=1) / dim
+    return MomentData(
+        mu=per_realization.mean(axis=0),
+        per_realization=per_realization,
+        dimension=dim,
+        num_vectors=r,
+    )
 
 
 def stochastic_moments(
@@ -561,27 +494,11 @@ def stochastic_moments(
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
     op = as_operator(operator)
-    dim = op.shape[0]
-    n, r, s = config.num_moments, config.num_random_vectors, config.num_realizations
-    per_realization = np.empty((s, n), dtype=np.float64)
-    per_vector = np.empty((s, r, n), dtype=np.float64) if keep_per_vector else None
-    for realization in range(s):
-        block = random_block(
-            dim, r, config.vector_kind, seed=config.seed, realization=realization
-        )
-        raw = moments_block(op, block, n, use_doubling=config.use_doubling)  # (N, R)
-        if per_vector is not None:
-            per_vector[realization] = raw.T / dim
-        per_realization[realization] = raw.mean(axis=1) / dim
-    data = MomentData(
-        mu=per_realization.mean(axis=0),
-        per_realization=per_realization,
-        dimension=dim,
-        num_vectors=r,
-    )
-    if keep_per_vector:
-        return data, per_vector
-    return data
+    if not keep_per_vector:
+        return _stochastic(op, config)
+    shape = (config.num_realizations, config.num_random_vectors, config.num_moments)
+    per_vector = np.empty(shape, dtype=np.float64)
+    return _stochastic(op, config, per_vector=per_vector), per_vector
 
 
 def stochastic_moments_resumable(
@@ -589,34 +506,16 @@ def stochastic_moments_resumable(
 ) -> tuple[MomentData, TraceCheckpoint]:
     """:func:`stochastic_moments` plus a :class:`TraceCheckpoint`.
 
-    Bit-identical to :func:`stochastic_moments` (the per-realization
-    block recursions go through :func:`moments_block_resumable`, whose
-    cold path repeats :func:`moments_block` exactly); the checkpoint lets
+    Bit-identical to :func:`stochastic_moments` (both run the same cold
+    block recursions); the checkpoint lets
     :func:`extend_stochastic_moments` raise the truncation order later
     without replaying the recursion from ``mu_0``.
     """
     if not isinstance(config, KPMConfig):
         raise ValidationError(f"config must be a KPMConfig, got {type(config).__name__}")
     op = as_operator(operator)
-    dim = op.shape[0]
-    n, r, s = config.num_moments, config.num_random_vectors, config.num_realizations
-    per_realization = np.empty((s, n), dtype=np.float64)
-    checkpoints = []
-    for realization in range(s):
-        block = random_block(
-            dim, r, config.vector_kind, seed=config.seed, realization=realization
-        )
-        raw, checkpoint = moments_block_resumable(
-            op, block, n, use_doubling=config.use_doubling
-        )
-        per_realization[realization] = raw.mean(axis=1) / dim
-        checkpoints.append(checkpoint)
-    data = MomentData(
-        mu=per_realization.mean(axis=0),
-        per_realization=per_realization,
-        dimension=dim,
-        num_vectors=r,
-    )
+    checkpoints: list = []
+    data = _stochastic(op, config, checkpoints=checkpoints)
     return data, TraceCheckpoint(checkpoints=checkpoints)
 
 
@@ -663,7 +562,8 @@ def extend_stochastic_moments(
     new_columns = np.empty((config.num_realizations, target - base), dtype=np.float64)
     advanced = []
     for realization, state in enumerate(checkpoint.checkpoints):
-        segment, state = extend_moments_block(op, state, target)
+        _check_resume(state, 2, op, target)
+        segment, state = _extend(op, state, target)
         new_columns[realization] = segment.mean(axis=1) / dim
         advanced.append(state)
     per_realization = np.concatenate([data.per_realization, new_columns], axis=1)
@@ -696,5 +596,5 @@ def exact_moments(operator, num_moments: int, *, chunk_size: int = 256) -> np.nd
         # the O(D * chunk_size) memory cap itself, not recursion churn.
         block = np.zeros((dim, count), dtype=np.float64)  # repro: noqa[RA009]
         block[start + np.arange(count), np.arange(count)] = 1.0
-        total += moments_block(op, block, num_moments).sum(axis=1)
+        total += _cold(op, block, num_moments, False, 2)[0].sum(axis=1)
     return total / dim

@@ -13,6 +13,14 @@ from repro.kpm import (
     rescale_operator,
     stochastic_moments,
 )
+from repro.kpm.moments import (
+    extend_moments_block,
+    extend_moments_single_vector,
+    extend_stochastic_moments,
+    moments_block_resumable,
+    moments_single_vector_resumable,
+    stochastic_moments_resumable,
+)
 from repro.lattice import chain, cubic, tight_binding_hamiltonian
 
 
@@ -196,13 +204,36 @@ class TestExactMoments:
         assert peak < dense_identity_bytes // 4
 
 
+def _run(path, op, start, num_moments, use_doubling=False):
+    """Moments on one path: ``"cold"``, or resumable at ``path`` orders then extended."""
+    if start.ndim == 1:
+        cold, resumable, extend = (
+            moments_single_vector, moments_single_vector_resumable,
+            extend_moments_single_vector,
+        )
+    else:
+        cold, resumable, extend = moments_block, moments_block_resumable, extend_moments_block
+    if path == "cold":
+        return cold(op, start, num_moments, use_doubling=use_doubling)
+    mu, checkpoint = resumable(
+        op, start, min(path, num_moments), use_doubling=use_doubling
+    )
+    if num_moments > path:
+        segment, _ = extend(op, checkpoint, num_moments)
+        mu = np.concatenate([mu, segment])
+    return mu
+
+
 class TestDivergenceChecks:
     """Every moment order must be checked, on every recursion path.
 
     Regression: the doubling paths skipped all odd orders and mu_1 was
     never checked anywhere, so operators whose divergence shows first in
-    an unchecked order sailed through.
+    an unchecked order sailed through.  Each case runs cold and resumed
+    from a 1- and a 2-order checkpoint, and must fail at the same order.
     """
+
+    _PATHS = ("cold", 1, 2)
 
     # Spectrum {10, 0.5, -0.5, 0.3} with start vector e0: the order-2
     # doubled moment (199) stays under the divergence threshold while
@@ -212,29 +243,33 @@ class TestDivergenceChecks:
     def test_doubling_checks_odd_orders_single(self):
         op = np.diag(self._DIAG)
         r0 = np.array([1.0, 0.0, 0.0, 0.0])
-        moments_single_vector(op, r0, 3, use_doubling=True)  # order 2 passes
-        with pytest.raises(SpectrumError, match="order 3 "):
-            moments_single_vector(op, r0, 4, use_doubling=True)
+        for path in self._PATHS:
+            _run(path, op, r0, 3, use_doubling=True)  # order 2 passes
+            with pytest.raises(SpectrumError, match="order 3 "):
+                _run(path, op, r0, 4, use_doubling=True)
 
     def test_doubling_checks_odd_orders_block(self):
         op = np.diag(self._DIAG)
         block = np.zeros((4, 2))
         block[0, 0] = 1.0
         block[1, 1] = 1.0
-        moments_block(op, block, 3, use_doubling=True)
-        with pytest.raises(SpectrumError, match="order 3 "):
-            moments_block(op, block, 4, use_doubling=True)
+        for path in self._PATHS:
+            _run(path, op, block, 3, use_doubling=True)
+            with pytest.raises(SpectrumError, match="order 3 "):
+                _run(path, op, block, 4, use_doubling=True)
 
     def test_first_moment_checked_single(self):
         op = np.diag([2000.0, 0.0])
-        with pytest.raises(SpectrumError, match="order 1 "):
-            moments_single_vector(op, np.array([1.0, 0.0]), 2)
+        for path in self._PATHS:
+            with pytest.raises(SpectrumError, match="order 1 "):
+                _run(path, op, np.array([1.0, 0.0]), 2)
 
     def test_first_moment_checked_block(self):
         op = np.diag([2000.0, 0.0])
         block = np.array([[1.0], [0.0]])
-        with pytest.raises(SpectrumError, match="order 1 "):
-            moments_block(op, block, 2)
+        for path in self._PATHS:
+            with pytest.raises(SpectrumError, match="order 1 "):
+                _run(path, op, block, 2)
 
 
 class TestMomentData:
@@ -349,3 +384,63 @@ class TestResumable:
         reference = stochastic_moments(scaled_chain, bigger)
         assert np.array_equal(extended.mu, reference.mu)
         assert np.array_equal(extended.per_realization, reference.per_realization)
+
+    @pytest.mark.parametrize("use_doubling", [False, True])
+    @pytest.mark.parametrize("block", [False, True])
+    def test_checkpoint_owns_its_start(self, scaled_chain, block, use_doubling):
+        # Regression: the checkpoint aliased the caller's start vector, so
+        # editing it after the cold run silently changed every extension.
+        start = np.random.default_rng(3).standard_normal((32, 2) if block else 32)
+        resumable, extend = (
+            (moments_block_resumable, extend_moments_block)
+            if block
+            else (moments_single_vector_resumable, extend_moments_single_vector)
+        )
+        reference = _run("cold", scaled_chain, start, 12, use_doubling)
+        # At two orders both modes still reference r_0 (plain: the dots;
+        # doubling: prev = a_0).
+        mu, checkpoint = resumable(scaled_chain, start, 2, use_doubling=use_doubling)
+        start[:] = 0.0
+        segment, _ = extend(scaled_chain, checkpoint, 12)
+        assert np.array_equal(np.concatenate([mu, segment]), reference)
+
+
+class TestCheckpointGuards:
+    """The extension entry points reject checkpoints they cannot resume."""
+
+    @pytest.fixture
+    def checkpoints(self, scaled_chain):
+        rng = np.random.default_rng(4)
+        _, vector = moments_single_vector_resumable(scaled_chain, rng.standard_normal(32), 4)
+        _, block = moments_block_resumable(scaled_chain, rng.standard_normal((32, 2)), 4)
+        return vector, block
+
+    def test_single_vector_rejects_block_checkpoint(self, scaled_chain, checkpoints):
+        with pytest.raises(ShapeError, match="1-dimensional"):
+            extend_moments_single_vector(scaled_chain, checkpoints[1], 8)
+
+    def test_block_rejects_vector_checkpoint(self, scaled_chain, checkpoints):
+        with pytest.raises(ShapeError, match="2-dimensional"):
+            extend_moments_block(scaled_chain, checkpoints[0], 8)
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_rejects_other_dimension(self, checkpoints, block):
+        other, _ = rescale_operator(tight_binding_hamiltonian(chain(16), format="csr"))
+        extend = extend_moments_block if block else extend_moments_single_vector
+        with pytest.raises(ShapeError, match="does not match operator dimension"):
+            extend(other, checkpoints[block], 8)
+
+    def test_stochastic_rejects_other_dimension(self, scaled_chain):
+        config = KPMConfig(num_moments=4, num_random_vectors=2, num_realizations=2, seed=1)
+        data, checkpoint = stochastic_moments_resumable(scaled_chain, config)
+        other, _ = rescale_operator(tight_binding_hamiltonian(chain(16), format="csr"))
+        with pytest.raises(ShapeError, match="does not match operator dimension"):
+            extend_stochastic_moments(
+                other, config.with_updates(num_moments=8), data, checkpoint
+            )
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_rejects_non_checkpoint(self, scaled_chain, block):
+        extend = extend_moments_block if block else extend_moments_single_vector
+        with pytest.raises(ValidationError, match="RecursionCheckpoint"):
+            extend(scaled_chain, {"start": np.zeros(32)}, 8)
