@@ -7,9 +7,8 @@ import ast
 __all__ = [
     "dotted_name",
     "module_all",
-    "module_import_aliases",
+    "own_nodes",
     "toplevel_defined_names",
-    "has_star_import",
 ]
 
 
@@ -25,30 +24,17 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-def module_import_aliases(tree: ast.Module, module: str) -> set[str]:
-    """Local names that refer to ``module`` (e.g. ``numpy`` -> {"np"}).
-
-    Covers ``import numpy``, ``import numpy as np``, and
-    ``from <parent> import <leaf> [as alias]`` where the joined path
-    equals ``module``.  Submodule imports (``import numpy.random``)
-    expose the *top* package name, which is what attribute chains start
-    with, so that is what gets recorded.
-    """
-    wanted_parts = module.split(".")
-    aliases: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                if item.name == module:
-                    aliases.add(item.asname or module.split(".")[0])
-                elif item.asname is None and item.name.split(".")[0] == module:
-                    aliases.add(module)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            for item in node.names:
-                full = node.module.split(".") + [item.name]
-                if full == wanted_parts:
-                    aliases.add(item.asname or item.name)
-    return aliases
+def own_nodes(func: ast.AST) -> list[ast.AST]:
+    """The nodes of a function's body, not descending into nested defs."""
+    out: list[ast.AST] = []
+    stack: list[ast.AST] = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        out.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
 
 
 def toplevel_defined_names(tree: ast.Module) -> set[str]:
@@ -123,11 +109,3 @@ def module_all(tree: ast.Module) -> tuple[ast.AST, list[str]] | None:
         return node, names
     return None
 
-
-def has_star_import(tree: ast.Module) -> bool:
-    """True if the module contains a ``from x import *``."""
-    return any(
-        isinstance(node, ast.ImportFrom)
-        and any(item.name == "*" for item in node.names)
-        for node in ast.walk(tree)
-    )

@@ -38,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
             "taxonomy (RA002), dtype discipline (RA003), launch contract "
             "(RA004), API validation (RA005), export consistency (RA006), "
             "layering over the project import graph (RA007), modeled-clock "
-            "purity (RA008), hot-path perf lint (RA009), deprecated APIs "
-            "(RA010), resource hygiene (RA011), stale suppressions (RA012), "
+            "purity (RA008), hot-path perf lint (RA009), resource hygiene "
+            "(RA011), stale suppressions (RA012), "
             "device-array lifetime (RA013), kernel write-set hygiene "
             "(RA014), sanitizer-suppression audit (RA015), static kernel "
             "bounds proofs (RA016), cross-block race proofs (RA017), "

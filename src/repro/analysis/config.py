@@ -19,9 +19,6 @@ through a ``[tool.repro-analysis]`` table::
     ]
     baseline = "analysis-baseline.json"
 
-    [tool.repro-analysis.deprecations]
-    "MultiGpuKPM.run" = "call MultiGpuKPM.compute_moments() instead"
-
     [tool.repro-analysis.severity]
     RA009 = "warning"
 
@@ -86,12 +83,6 @@ DEFAULT_LAYERS: tuple[tuple[str, ...], ...] = (
 #: must run on the modeled clock so runs stay bit-reproducible.
 DEFAULT_WALL_CLOCK_ALLOWED = ("timing.py",)
 
-#: Deprecated ``Class.method`` call targets and the advice RA010 prints.
-#: (``GpuKPM.run`` completed its deprecation cycle and was removed.)
-DEFAULT_DEPRECATIONS: tuple[tuple[str, str], ...] = (
-    ("MultiGpuKPM.run", "call MultiGpuKPM.compute_moments() instead"),
-)
-
 #: Allocating numpy constructors RA009 flags inside hot-path for-loops.
 DEFAULT_LOOP_ALLOCATORS = ("zeros", "empty", "ones", "full", "eye")
 
@@ -109,7 +100,6 @@ class AnalysisConfig:
     trusted_validators: tuple[str, ...] = DEFAULT_TRUSTED_VALIDATORS
     layers: tuple[tuple[str, ...], ...] = DEFAULT_LAYERS
     wall_clock_allowed: tuple[str, ...] = DEFAULT_WALL_CLOCK_ALLOWED
-    deprecations: tuple[tuple[str, str], ...] = DEFAULT_DEPRECATIONS
     loop_allocators: tuple[str, ...] = DEFAULT_LOOP_ALLOCATORS
     severity: tuple[tuple[str, str], ...] = ()
     baseline: str | None = None
@@ -161,7 +151,6 @@ _KEY_MAP = {
     "kernel-modules": "kernel_modules",
     "certificate": "certificate",
     "layers": "layers",
-    "deprecations": "deprecations",
     "severity": "severity",
 }
 
@@ -246,8 +235,6 @@ def load_config(start: Path | None = None) -> AnalysisConfig:
             changes[_KEY_MAP[key]] = value
         elif key == "layers":
             changes["layers"] = _parse_layers(value)
-        elif key == "deprecations":
-            changes["deprecations"] = _parse_str_table(value, key)
         elif key == "severity":
             pairs = _parse_str_table(value, key)
             for rule, level in pairs:

@@ -1,11 +1,12 @@
 """Rule engine of the :mod:`repro.analysis` contract checker.
 
-The checker parses each Python source file once into an :mod:`ast` tree
-(wrapped in a :class:`SourceModule` carrying path, text, and suppression
-data) and hands it to every enabled :class:`Rule`.  Rules yield
-:class:`Finding` records; the engine filters findings through the
-``# repro: noqa[...]`` suppression comments and returns the survivors
-sorted by path/line.
+The checker reads each Python source file once: :func:`load_module`
+parses, walks and tokenizes it a single time and wraps the results in a
+:class:`SourceModule` (its nodes, comments, import aliases and
+suppression data), which it hands to every enabled :class:`Rule`.
+Rules yield :class:`Finding` records; the engine filters findings
+through the ``# repro: noqa[...]`` suppression comments and returns the
+survivors sorted by path/line.
 
 Suppression syntax (comments, discovered with :mod:`tokenize` so string
 literals never trigger them):
@@ -175,14 +176,12 @@ class Suppressions:
     @classmethod
     def parse(cls, source: str) -> "Suppressions":
         """Extract suppression comments via :mod:`tokenize`."""
+        return cls.from_comments(_comment_tokens(source))
+
+    @classmethod
+    def from_comments(cls, comments: list[tokenize.TokenInfo]) -> "Suppressions":
+        """Parse the suppression comments among a file's comment tokens."""
         result = cls()
-        try:
-            tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-            comments = [
-                tok for tok in tokens if tok.type == tokenize.COMMENT
-            ]
-        except (tokenize.TokenError, IndentationError, SyntaxError):
-            return result
         for tok in comments:
             match = _NOQA_RE.search(tok.string)
             if match is None:
@@ -218,15 +217,33 @@ class SourceModule:
         Full file text.
     tree:
         The parsed :class:`ast.Module`.
+    nodes:
+        Every node of ``tree``, in :func:`ast.walk` order.  Rules iterate
+        this list instead of walking the whole tree themselves.
+    comments:
+        The file's comment tokens, in file order.
+    import_aliases:
+        Dotted module path -> local names the file's imports bind to it;
+        query it with :meth:`aliases_of`.
     suppressions:
         Parsed ``# repro: noqa`` data.
+    kernel_reports:
+        Memo of :func:`repro.analysis.kernelver.verify.module_reports`.
     """
 
     path: Path
     rel_path: str
     source: str
     tree: ast.Module
+    nodes: list[ast.AST]
+    comments: list[tokenize.TokenInfo]
+    import_aliases: dict[str, set[str]]
     suppressions: Suppressions
+    kernel_reports: list | None = None
+
+    def aliases_of(self, module: str) -> set[str]:
+        """Local names that refer to ``module`` (e.g. ``numpy`` -> {"np"})."""
+        return self.import_aliases.get(module, set())
 
     def finding(self, node: ast.AST, rule_id: str, message: str) -> Finding:
         """Build a :class:`Finding` anchored at ``node``."""
@@ -322,13 +339,56 @@ def load_module(path: Path, root: Path) -> SourceModule:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         raise ValidationError(f"cannot parse {rel}: {exc}") from exc
+    nodes = list(ast.walk(tree))
+    comments = _comment_tokens(source)
     return SourceModule(
         path=path,
         rel_path=rel,
         source=source,
         tree=tree,
-        suppressions=Suppressions.parse(source),
+        nodes=nodes,
+        comments=comments,
+        import_aliases=_import_aliases(nodes),
+        suppressions=Suppressions.from_comments(comments),
     )
+
+
+def _comment_tokens(source: str) -> list[tokenize.TokenInfo]:
+    """The comment tokens of ``source`` (none if it does not tokenize)."""
+    try:
+        return [
+            tok
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.COMMENT
+        ]
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        return []
+
+
+def _import_aliases(nodes: list[ast.AST]) -> dict[str, set[str]]:
+    """Dotted module path -> the local names the imports bind to it.
+
+    ``import numpy as np`` binds ``np`` to ``numpy``; ``from datetime
+    import datetime`` binds ``datetime`` to ``datetime.datetime``.  A
+    submodule import without ``as`` (``import numpy.random``) binds only
+    the top package name, and only to the top package: attribute chains
+    through it (``numpy.random.rand``) start at ``numpy``.
+    """
+    aliases: dict[str, set[str]] = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for item in node.names:
+                if item.asname is not None:
+                    aliases.setdefault(item.name, set()).add(item.asname)
+                else:
+                    top = item.name.split(".")[0]
+                    aliases.setdefault(top, set()).add(top)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            for item in node.names:
+                aliases.setdefault(f"{node.module}.{item.name}", set()).add(
+                    item.asname or item.name
+                )
+    return aliases
 
 
 def run_rules(

@@ -1,9 +1,8 @@
-"""Whole-program view: resolved import graph + per-function call index.
+"""Whole-program view: the resolved import graph.
 
 The per-file rules (RA001–RA006) see one module at a time; the graph
-rules (RA007 layering, cycle detection) and the dataflow rules need the
-*project*: which scanned module imports which, at which line, eagerly or
-lazily, plus an index of every function's calls and attribute chains.
+rules (RA007 layering, cycle detection) need the *project*: which
+scanned module imports which, at which line, eagerly or lazily.
 
 :class:`ProjectGraph` is built once per analysis run from the already
 parsed :class:`~repro.analysis.core.SourceModule` list — stdlib
@@ -36,8 +35,6 @@ from typing import Iterable, Iterator
 from repro.analysis.core import SourceModule
 
 __all__ = [
-    "CallSite",
-    "FunctionInfo",
     "ImportEdge",
     "ModuleNode",
     "ProjectGraph",
@@ -64,33 +61,13 @@ class ImportEdge:
         return not (self.lazy or self.type_checking)
 
 
-@dataclass(frozen=True)
-class CallSite:
-    """One call expression inside a function (dotted callee form)."""
-
-    callee: str
-    lineno: int
-    col: int
-
-
-@dataclass(frozen=True)
-class FunctionInfo:
-    """Call/attribute index of one function or method."""
-
-    qualname: str
-    lineno: int
-    calls: tuple[CallSite, ...]
-    attributes: tuple[str, ...]
-
-
 @dataclass
 class ModuleNode:
-    """One scanned module with its resolved imports and function index."""
+    """One scanned module with its resolved imports."""
 
     name: str
     rel_path: str
     imports: list[ImportEdge] = field(default_factory=list)
-    functions: list[FunctionInfo] = field(default_factory=list)
 
     @property
     def layer(self) -> str:
@@ -123,17 +100,6 @@ def _is_type_checking_test(test: ast.expr) -> bool:
     elif isinstance(test, ast.Attribute):
         name = test.attr
     return name == "TYPE_CHECKING"
-
-
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 class _ImportCollector(ast.NodeVisitor):
@@ -203,52 +169,6 @@ class _ImportCollector(ast.NodeVisitor):
                 self._add(f"{base}.{item.name}", node)
 
 
-class _FunctionIndexer(ast.NodeVisitor):
-    """Build the per-function call/attribute index of one module."""
-
-    def __init__(self) -> None:
-        self.functions: list[FunctionInfo] = []
-        self._stack: list[str] = []
-
-    def _visit_function(self, node: ast.FunctionDef) -> None:
-        self._stack.append(node.name)
-        calls: list[CallSite] = []
-        attributes: list[str] = []
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                callee = _dotted(sub.func)
-                if callee is not None:
-                    calls.append(
-                        CallSite(callee=callee, lineno=sub.lineno, col=sub.col_offset)
-                    )
-            elif isinstance(sub, ast.Attribute):
-                dotted = _dotted(sub)
-                if dotted is not None:
-                    attributes.append(dotted)
-        self.functions.append(
-            FunctionInfo(
-                qualname=".".join(self._stack),
-                lineno=node.lineno,
-                calls=tuple(calls),
-                attributes=tuple(sorted(set(attributes))),
-            )
-        )
-        for child in ast.iter_child_nodes(node):
-            self.visit(child)
-        self._stack.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._stack.append(node.name)
-        for child in ast.iter_child_nodes(node):
-            self.visit(child)
-        self._stack.pop()
-
-
 @dataclass
 class ProjectGraph:
     """Resolved module-level import graph over one analysis run."""
@@ -288,9 +208,6 @@ class ProjectGraph:
                         type_checking=type_checking,
                     )
                 )
-            indexer = _FunctionIndexer()
-            indexer.visit(module.tree)
-            node.functions = indexer.functions
         return cls(modules=nodes)
 
     # -- queries -------------------------------------------------------

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import ValidationError
 from repro.gpu.contracts import ArraySpec, KernelContract, LaunchMode, MatrixSpec
 
-__all__ = ["KernelDef", "find_kernel_defs"]
+__all__ = ["KernelDef", "find_kernel_defs", "is_kernel_def"]
 
 _CONSTRUCTORS = {
     "KernelContract": KernelContract,
@@ -52,7 +53,8 @@ def _kernel_decorator(func: ast.FunctionDef) -> ast.Call | None:
     return None
 
 
-def _is_kernel_def(func: ast.AST) -> bool:
+def is_kernel_def(func: ast.AST) -> bool:
+    """True for a function definition decorated with ``@kernel``."""
     if not isinstance(func, ast.FunctionDef):
         return False
     for deco in func.decorator_list:
@@ -118,17 +120,22 @@ def _module_consts(tree: ast.Module) -> dict:
     return consts
 
 
-def find_kernel_defs(tree: ast.Module) -> list[KernelDef]:
+def find_kernel_defs(
+    tree: ast.Module, nodes: Iterable[ast.AST] | None = None
+) -> list[KernelDef]:
     """Every ``@kernel`` function in the module, with its parsed contract.
 
-    A kernel whose decorator has no ``contract=`` keyword gets
-    ``contract=None``; one whose contract expression is not a statically
-    evaluable literal gets ``contract=None`` plus ``contract_error``.
+    ``nodes`` is the module's node list when the caller already has it
+    (:attr:`repro.analysis.core.SourceModule.nodes`); otherwise ``tree``
+    is walked.  A kernel whose decorator has no ``contract=`` keyword
+    gets ``contract=None``; one whose contract expression is not a
+    statically evaluable literal gets ``contract=None`` plus
+    ``contract_error``.
     """
     consts = _module_consts(tree)
     out: list[KernelDef] = []
-    for node in ast.walk(tree):
-        if not _is_kernel_def(node):
+    for node in ast.walk(tree) if nodes is None else nodes:
+        if not is_kernel_def(node):
             continue
         deco = _kernel_decorator(node)
         kernel_name = node.name

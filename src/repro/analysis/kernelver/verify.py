@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
+from typing import Iterable
 
 from repro.analysis.kernelver.extract import KernelDef, find_kernel_defs
 from repro.analysis.kernelver.interp import ModeResult, interpret_mode, ref_extent
@@ -420,29 +420,19 @@ def verify_kernel(kernel_def: KernelDef, tree: ast.Module) -> KernelReport:
     )
 
 
-def verify_module(tree: ast.Module) -> list:
+def verify_module(
+    tree: ast.Module, nodes: Iterable[ast.AST] | None = None
+) -> list:
     """Verify every ``@kernel`` definition in a module AST."""
-    return [verify_kernel(kd, tree) for kd in find_kernel_defs(tree)]
-
-
-_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+    return [verify_kernel(kd, tree) for kd in find_kernel_defs(tree, nodes)]
 
 
 def module_reports(module) -> list:
-    """Memoized :func:`verify_module` keyed on a loaded module's AST.
+    """:func:`verify_module` of a loaded module, memoized on the module.
 
     RA016/RA017/RA019/RA020 and the certificate builder all consume the
     same verification, so one interpretation per module serves them all.
-    (Keyed on ``module.tree`` — identity-hashed and weakref-able, while
-    SourceModule itself is an unhashable dataclass.)
     """
-    try:
-        return _CACHE[module.tree]
-    except (KeyError, TypeError):
-        pass
-    reports = verify_module(module.tree)
-    try:
-        _CACHE[module.tree] = reports
-    except TypeError:
-        pass
-    return reports
+    if module.kernel_reports is None:
+        module.kernel_reports = verify_module(module.tree, module.nodes)
+    return module.kernel_reports

@@ -5,13 +5,15 @@
 filtering with validation of the requested ids.
 
 RA001–RA006 are per-module rules; RA007 is a project rule running over
-the resolved import graph (phase two of the engine); RA008–RA011 are
-per-module dataflow rules; RA012 is the engine-implemented
-stale-suppression audit; RA013–RA015 are the device-lifetime pack that
-complements the runtime sanitizer (:mod:`repro.sanitize`); RA016–RA020
-are the static kernel verifier (:mod:`repro.analysis.kernelver`) —
-symbolic bounds/race/coverage proofs over ``@kernel`` block programs
-plus the proof-certificate/sanitizer cross-check.
+the resolved import graph (phase two of the engine); RA008, RA009 and
+RA011 are per-module dataflow rules (RA010, the deprecated-API rule,
+was retired with the last deprecated shim and its id is not reused);
+RA012 is the engine-implemented stale-suppression audit; RA013–RA015
+are the device-lifetime pack that complements the runtime sanitizer
+(:mod:`repro.sanitize`); RA016–RA020 are the static kernel verifier
+(:mod:`repro.analysis.kernelver`) — symbolic bounds/race/coverage
+proofs over ``@kernel`` block programs plus the
+proof-certificate/sanitizer cross-check.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Iterable
 
 from repro.analysis.core import Rule
 from repro.analysis.rules.clock import ModeledClockRule
-from repro.analysis.rules.deprecated import DeprecatedApiRule
 from repro.analysis.rules.determinism import UnseededRngRule
 from repro.analysis.rules.dtype import DtypeDriftRule
 from repro.analysis.rules.errors import ErrorTaxonomyRule
@@ -55,7 +56,6 @@ __all__ = [
     "LayeringRule",
     "ModeledClockRule",
     "HotPathPerfRule",
-    "DeprecatedApiRule",
     "ResourceHygieneRule",
     "StaleSuppressionRule",
     "DeviceArrayLifetimeRule",
@@ -79,7 +79,6 @@ ALL_RULES: tuple[Rule, ...] = (
     LayeringRule(),
     ModeledClockRule(),
     HotPathPerfRule(),
-    DeprecatedApiRule(),
     ResourceHygieneRule(),
     StaleSuppressionRule(),
     DeviceArrayLifetimeRule(),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.astutil import dotted_name, module_import_aliases
+from repro.analysis.astutil import dotted_name
 from repro.analysis.config import AnalysisConfig, match_path
 from repro.analysis.core import Finding, Rule, SourceModule
 
@@ -73,13 +73,13 @@ class ModeledClockRule(Rule):
     ) -> Iterator[Finding]:
         if match_path(module.rel_path, config.wall_clock_allowed):
             return
-        time_aliases = module_import_aliases(module.tree, "time")
-        os_aliases = module_import_aliases(module.tree, "os")
-        dt_module_aliases = module_import_aliases(module.tree, "datetime")
-        dt_class_aliases = module_import_aliases(module.tree, "datetime.datetime")
-        date_class_aliases = module_import_aliases(module.tree, "datetime.date")
+        time_aliases = module.aliases_of("time")
+        os_aliases = module.aliases_of("os")
+        dt_module_aliases = module.aliases_of("datetime")
+        dt_class_aliases = module.aliases_of("datetime.datetime")
+        date_class_aliases = module.aliases_of("datetime.date")
 
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ImportFrom) and node.level == 0:
                 if node.module == "time":
                     for item in node.names:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.astutil import dotted_name, module_import_aliases
+from repro.analysis.astutil import dotted_name
 from repro.analysis.config import AnalysisConfig, match_path
 from repro.analysis.core import Finding, Rule, SourceModule
 
@@ -54,11 +54,11 @@ class UnseededRngRule(Rule):
     ) -> Iterator[Finding]:
         if match_path(module.rel_path, config.rng_allowed):
             return
-        numpy_aliases = module_import_aliases(module.tree, "numpy")
-        numpy_random_aliases = module_import_aliases(module.tree, "numpy.random")
-        stdlib_random_aliases = module_import_aliases(module.tree, "random")
+        numpy_aliases = module.aliases_of("numpy")
+        numpy_random_aliases = module.aliases_of("numpy.random")
+        stdlib_random_aliases = module.aliases_of("random")
 
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for item in node.names:
                     if item.name == "random" or item.name.startswith("random."):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.astutil import module_import_aliases
 from repro.analysis.config import AnalysisConfig, match_path
 from repro.analysis.core import Finding, Rule, SourceModule
 
@@ -46,11 +45,11 @@ class DtypeDriftRule(Rule):
     ) -> Iterator[Finding]:
         if not match_path(module.rel_path, config.hot_path_modules):
             return
-        numpy_aliases = module_import_aliases(module.tree, "numpy")
+        numpy_aliases = module.aliases_of("numpy")
         if not numpy_aliases:
             return
         watched = set(config.dtype_functions)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -43,7 +43,7 @@ class ErrorTaxonomyRule(Rule):
     def check(
         self, module: SourceModule, config: AnalysisConfig
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.astutil import has_star_import, module_all, toplevel_defined_names
+from repro.analysis.astutil import module_all, toplevel_defined_names
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import Finding, Rule, SourceModule
 
@@ -79,7 +79,12 @@ class ExportConsistencyRule(Rule):
                 )
             seen.add(name)
 
-        if not has_star_import(module.tree):
+        has_star_import = any(
+            isinstance(node, ast.ImportFrom)
+            and any(item.name == "*" for item in node.names)
+            for node in module.nodes
+        )
+        if not has_star_import:
             defined = toplevel_defined_names(module.tree)
             for name in names:
                 if name not in defined:

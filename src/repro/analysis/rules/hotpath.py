@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.astutil import dotted_name, module_import_aliases
+from repro.analysis.astutil import dotted_name
 from repro.analysis.config import AnalysisConfig, match_path
 from repro.analysis.core import Finding, Rule, SourceModule
 
@@ -65,19 +65,11 @@ class HotPathPerfRule(Rule):
     ) -> Iterator[Finding]:
         if not match_path(module.rel_path, config.hot_path_modules):
             return
-        numpy_aliases = module_import_aliases(module.tree, "numpy")
+        numpy_aliases = module.aliases_of("numpy")
         allocators = frozenset(config.loop_allocators)
 
-        def is_numpy_call(name: str, *, attrs: frozenset[str] | None = None) -> bool:
-            parts = name.split(".")
-            if parts[0] not in numpy_aliases:
-                return False
-            if attrs is None:
-                return len(parts) >= 2
-            return len(parts) == 2 and parts[1] in attrs
-
         # -- dense materialization, anywhere in the module ---------------
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -111,7 +103,7 @@ class HotPathPerfRule(Rule):
 
         # -- per-iteration allocation, loop bodies only ------------------
         seen: set[tuple[int, int]] = set()
-        for loop in ast.walk(module.tree):
+        for loop in module.nodes:
             if not isinstance(loop, (ast.For, ast.While)):
                 continue
             for stmt in loop.body:

@@ -163,7 +163,7 @@ class CanonicalSweepRule(Rule):
     ) -> Iterator[Finding]:
         if not match_path(module.rel_path, config.kernel_modules):
             return
-        for kernel_def in find_kernel_defs(module.tree):
+        for kernel_def in find_kernel_defs(module.tree, module.nodes):
             func = kernel_def.func
             tainted = _matrix_params(func, kernel_def.contract)
             if not tainted:

@@ -75,7 +75,7 @@ class LaunchContractRule(Rule):
     def check(
         self, module: SourceModule, config: AnalysisConfig
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if not (

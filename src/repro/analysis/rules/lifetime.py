@@ -17,22 +17,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.astutil import dotted_name
+from repro.analysis.astutil import dotted_name, own_nodes
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import Finding, Rule, SourceModule
 
 __all__ = ["DeviceArrayLifetimeRule"]
-
-
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's body without descending into nested defs."""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _names_in(node: ast.AST) -> set[str]:
@@ -67,7 +56,7 @@ class DeviceArrayLifetimeRule(Rule):
     def check(
         self, module: SourceModule, config: AnalysisConfig
     ) -> Iterator[Finding]:
-        for func in ast.walk(module.tree):
+        for func in module.nodes:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             yield from self._check_function(module, func)
@@ -76,8 +65,9 @@ class DeviceArrayLifetimeRule(Rule):
     def _check_function(
         self, module: SourceModule, func: ast.AST
     ) -> Iterator[Finding]:
+        nodes = own_nodes(func)
         allocs: dict[str, ast.AST] = {}
-        for node in _own_nodes(func):
+        for node in nodes:
             if (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
@@ -94,7 +84,7 @@ class DeviceArrayLifetimeRule(Rule):
         transferred: set[str] = set()
         stored: set[str] = set()
         returned: set[str] = set()
-        for node in _own_nodes(func):
+        for node in nodes:
             if isinstance(node, ast.Call):
                 callee = dotted_name(node.func)
                 if callee is not None:

@@ -64,8 +64,8 @@ class ResourceHygieneRule(Rule):
     def check(
         self, module: SourceModule, config: AnalysisConfig
     ) -> Iterator[Finding]:
-        entered = _entered_calls(module.tree)
-        for node in ast.walk(module.tree):
+        entered = _entered_calls(module.nodes)
+        for node in module.nodes:
             if not isinstance(node, ast.Call) or id(node) in entered:
                 continue
             name = dotted_name(node.func)
@@ -99,7 +99,7 @@ class ResourceHygieneRule(Rule):
         contextvars = _module_contextvars(module.tree)
         if not contextvars:
             return
-        for func in ast.walk(module.tree):
+        for func in module.nodes:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             sets: dict[str, ast.Call] = {}
@@ -127,10 +127,10 @@ class ResourceHygieneRule(Rule):
                     )
 
 
-def _entered_calls(tree: ast.Module) -> set[int]:
+def _entered_calls(nodes: list[ast.AST]) -> set[int]:
     """ids of Call nodes used as with-items or enter_context arguments."""
     entered: set[int] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
                 if isinstance(item.context_expr, ast.Call):

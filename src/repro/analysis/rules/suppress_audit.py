@@ -13,9 +13,7 @@ from :data:`repro.sanitize.findings.FINDING_CODES`.
 
 from __future__ import annotations
 
-import io
 import re
-import tokenize
 from typing import Iterator
 
 from repro.analysis.config import AnalysisConfig
@@ -54,17 +52,7 @@ class SanitizerSuppressionRule(Rule):
     def check(
         self, module: SourceModule, config: AnalysisConfig
     ) -> Iterator[Finding]:
-        try:
-            tokens = [
-                tok
-                for tok in tokenize.generate_tokens(
-                    io.StringIO(module.source).readline
-                )
-                if tok.type == tokenize.COMMENT
-            ]
-        except (tokenize.TokenError, IndentationError, SyntaxError):
-            return
-        for tok in tokens:
+        for tok in module.comments:
             match = _IGNORE_RE.search(tok.string)
             if match is None:
                 continue

@@ -19,8 +19,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.astutil import own_nodes
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import Finding, Rule, SourceModule
+from repro.analysis.kernelver.extract import is_kernel_def
 
 __all__ = ["KernelWriteSetRule"]
 
@@ -28,30 +30,6 @@ __all__ = ["KernelWriteSetRule"]
 # across them).  threads_per_block etc. are identical in every block
 # and deliberately not included.
 _CTX_SOURCES = frozenset({"linear_block_id", "block_idx", "thread_range"})
-
-
-def _own_nodes(func: ast.AST) -> list[ast.AST]:
-    """The function's statements, not descending into nested defs."""
-    out: list[ast.AST] = []
-    stack: list[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        out.append(node)
-        stack.extend(ast.iter_child_nodes(node))
-    return out
-
-
-def _is_kernel_def(node: ast.AST) -> bool:
-    if not isinstance(node, ast.FunctionDef):
-        return False
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "kernel":
-            return True
-    return False
 
 
 def _target_names(node: ast.AST) -> Iterator[str]:
@@ -90,8 +68,8 @@ class KernelWriteSetRule(Rule):
     def check(
         self, module: SourceModule, config: AnalysisConfig
     ) -> Iterator[Finding]:
-        for func in ast.walk(module.tree):
-            if _is_kernel_def(func):
+        for func in module.nodes:
+            if is_kernel_def(func):
                 yield from self._check_kernel(module, func)
 
     # ------------------------------------------------------------------
@@ -103,7 +81,7 @@ class KernelWriteSetRule(Rule):
             return
         ctx_name = params[0]
         device_params = set(params[1:])
-        nodes = _own_nodes(func)
+        nodes = own_nodes(func)
 
         if self._has_single_block_guard(nodes, ctx_name):
             return

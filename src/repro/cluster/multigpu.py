@@ -31,7 +31,6 @@ honestly charged to the ``"recovery"`` and ``"rebalance"`` phases of the
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,16 +324,6 @@ class MultiGpuKPM:
             spmv_format=self.spmv_format,
             vector_width=self.vector_width,
         )
-
-    def run(self, scaled_operator, config: KPMConfig) -> tuple[MomentData, TimingReport]:
-        """Deprecated alias of :meth:`compute_moments`."""
-        warnings.warn(
-            "MultiGpuKPM.run() is deprecated; use "
-            "MultiGpuKPM.compute_moments() (the MomentEngine protocol method)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.compute_moments(scaled_operator, config)
 
     def compute_moments(
         self, scaled_operator, config: KPMConfig

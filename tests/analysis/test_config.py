@@ -78,9 +78,17 @@ class TestLoadConfig:
         assert load_config(target).ignore == ("RA004",)
 
     def test_unknown_key_rejected(self, tmp_path):
-        self.write_pyproject(tmp_path, "[tool.repro-analysis]\nbogus = []\n")
-        with pytest.raises(ValidationError, match="bogus"):
-            load_config(tmp_path)
+        # ``deprecations`` was retired with RA010: a stale table fails loudly.
+        for key, body in (
+            ("bogus", "[tool.repro-analysis]\nbogus = []\n"),
+            (
+                "deprecations",
+                '[tool.repro-analysis.deprecations]\n"Old.run" = "call Old.go()"\n',
+            ),
+        ):
+            self.write_pyproject(tmp_path, body)
+            with pytest.raises(ValidationError, match=key):
+                load_config(tmp_path)
 
     def test_non_list_value_rejected(self, tmp_path):
         self.write_pyproject(tmp_path, '[tool.repro-analysis]\nselect = "RA001"\n')
@@ -154,21 +162,6 @@ class TestSeverityAndTables:
         )
         with pytest.raises(ValidationError, match="severity"):
             load_config(tmp_path)
-
-    def test_deprecations_table(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro-analysis.deprecations]\n"
-            '"Old.run" = "call Old.go() instead"\n',
-            encoding="utf-8",
-        )
-        config = load_config(tmp_path)
-        assert config.deprecations == (("Old.run", "call Old.go() instead"),)
-
-    def test_default_deprecations_cover_the_gpu_engines(self):
-        # GpuKPM.run was removed after its deprecation cycle; only the
-        # MultiGpuKPM shim remains in the default table.
-        classes = {entry[0] for entry in AnalysisConfig().deprecations}
-        assert classes == {"MultiGpuKPM.run"}
 
     def test_wall_clock_and_loop_allocator_defaults(self):
         config = AnalysisConfig()

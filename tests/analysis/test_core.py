@@ -1,9 +1,12 @@
 """Unit tests for the engine layer: Finding, Suppressions, file walking."""
 
+import ast
+import tokenize
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import AnalysisConfig, run_analysis
 from repro.analysis.core import (
     Finding,
     Suppressions,
@@ -142,3 +145,28 @@ class TestLoadModule:
         bad.write_text("def oops(:\n")
         with pytest.raises(ValidationError, match="cannot parse"):
             load_module(bad, tmp_path)
+
+
+class TestReadOnce:
+    def test_each_module_is_walked_and_tokenized_once(self, monkeypatch):
+        # load_module parses, walks and tokenizes a file exactly once;
+        # every rule queries the results instead of re-reading the tree.
+        walk, generate_tokens = ast.walk, tokenize.generate_tokens
+        module_walks = []
+        tokenizes = []
+
+        def counting_walk(node):
+            if isinstance(node, ast.Module):
+                module_walks.append(node)
+            return walk(node)
+
+        def counting_generate_tokens(readline):
+            tokenizes.append(readline)
+            return generate_tokens(readline)
+
+        monkeypatch.setattr(ast, "walk", counting_walk)
+        monkeypatch.setattr(tokenize, "generate_tokens", counting_generate_tokens)
+        report = run_analysis([FIXTURES], AnalysisConfig())
+        assert report.files_checked == len(collect_files(FIXTURES)) > 0
+        assert len(module_walks) == report.files_checked
+        assert len(tokenizes) == report.files_checked

@@ -31,6 +31,7 @@ class TestRA001UnseededRng:
             ("ra001_bad.py", 3, "RA001"),
             ("ra001_bad.py", 12, "RA001"),
             ("ra001_bad.py", 13, "RA001"),
+            ("ra001_submodule.py", 8, "RA001"),
         ]
 
     def test_messages_name_the_offender(self):
@@ -190,26 +191,6 @@ class TestRA009HotPathPerf:
     def test_only_fires_in_hot_path_modules(self):
         paths = {f.path for f in scan(["RA009"]).findings}
         assert paths == {"kpm/ra009_bad.py"}
-
-
-class TestRA010DeprecatedApi:
-    def test_exact_findings(self):
-        report = scan(["RA010"])
-        assert locations(report.findings) == [
-            ("ra010_bad.py", 20, "RA010"),
-            ("ra010_bad.py", 25, "RA010"),
-        ]
-
-    def test_messages_carry_the_migration_advice(self):
-        messages = [f.message for f in scan(["RA010"]).findings]
-        assert all("MultiGpuKPM.run" in m for m in messages)
-        assert all("compute_moments" in m for m in messages)
-
-    def test_unknown_receiver_stays_silent(self):
-        # ``engine.run(...)`` where ``engine`` is a parameter cannot be
-        # resolved statically — the runtime DeprecationWarning covers it.
-        lines = {f.line for f in scan(["RA010"]).findings}
-        assert 35 not in lines
 
 
 class TestRA011ResourceHygiene:
@@ -437,7 +418,7 @@ class TestFullSweep:
         for finding in report.findings:
             counts[finding.rule] = counts.get(finding.rule, 0) + 1
         assert counts == {
-            "RA001": 3,
+            "RA001": 4,
             "RA002": 3,
             "RA003": 3,
             "RA004": 3,
@@ -446,7 +427,6 @@ class TestFullSweep:
             "RA007": 3,
             "RA008": 5,
             "RA009": 4,
-            "RA010": 2,
             "RA011": 4,
             "RA012": 3,
             "RA013": 2,
@@ -473,7 +453,6 @@ class TestFullSweep:
                 "RA006",
                 "RA007",
                 "RA008",
-                "RA010",
                 "RA011",
                 "RA012",
                 "RA013",

@@ -165,21 +165,14 @@ class TestEngineUnification:
         assert isinstance(MultiGpuKPM(2), MomentEngine)
 
     def test_gpukpm_run_shim_removed(self):
-        # GpuKPM.run completed its deprecation cycle in PR 8; the only
-        # entry point is the MomentEngine protocol method.
+        # The GpuKPM.run and MultiGpuKPM.run shims completed their
+        # deprecation cycles; the only entry point is the MomentEngine
+        # protocol method.
+        from repro.cluster import MultiGpuKPM
         from repro.gpukpm import GpuKPM
 
-        assert not hasattr(GpuKPM, "run")
-
-    def test_multigpu_run_shim_deprecated(self, chain_csr, small_config):
-        from repro.cluster import MultiGpuKPM
-
-        scaled, _ = rescale_operator(chain_csr)
-        driver = MultiGpuKPM(2)
-        with pytest.warns(DeprecationWarning, match="compute_moments"):
-            shim_data, _ = driver.run(scaled, small_config)
-        direct_data, _ = MultiGpuKPM(2).compute_moments(scaled, small_config)
-        assert np.array_equal(shim_data.mu, direct_data.mu)
+        for engine in (GpuKPM, MultiGpuKPM):
+            assert not hasattr(engine, "run")
 
     def test_cluster_backend_computes(self, chain_csr, small_config):
         from repro.kpm import compute_dos
