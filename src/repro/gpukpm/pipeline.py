@@ -181,8 +181,17 @@ class GpuKPM:
 
         Both :meth:`run_partition` and :meth:`estimate_modeled_seconds`
         resolve through here, so executed and analytic modeled times
-        stay exactly equal for every choice.
+        stay exactly equal for every choice — and every entry point
+        rejects ``use_doubling=True``: the device kernels run the plain
+        three-term recursion only, and serving or pricing that under a
+        doubling request would file the wrong program's moments.
         """
+        if config.use_doubling:
+            raise ValidationError(
+                "the gpu-sim engine runs the plain Chebyshev recursion only; "
+                "use_doubling=True is supported on the numpy and cpu-model "
+                "engines"
+            )
         fmt = self.spmv_format
         width = self.vector_width or 1
         block_size = None

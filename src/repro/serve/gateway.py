@@ -265,17 +265,15 @@ class Gateway(SpectralService):
 
         Priced on the key's affinity engine so repeat workloads are
         billed consistently; engines without the estimator capability
-        (and pure host paths) price at zero — unmetered, like v1.
+        (and pure host paths) price at zero — unmetered, like v1.  The
+        slot is chosen per call; only its estimate is memoized.
         """
         slots = self.pool.healthy_slots()
         if not slots:
             return 0.0
         slot = slots[self._key_affinity[key] % len(slots)]
-        estimate = getattr(slot.engine, "estimate_modeled_seconds", None)
-        if estimate is None:
-            return 0.0
-        scaled, _ = self._scaled_for_key(key, operator, config)
-        return float(estimate(scaled, config))
+        cost = self._estimate(slot, key, operator, config)
+        return 0.0 if cost is None else float(cost)
 
     def _batch_cost(self, batch: Batch) -> float:
         """Projected marginal cost of serving ``batch`` at its target order.

@@ -16,6 +16,12 @@ single recursion.  Reconstruction (kernel damping, energy grid, Green's
 phases) is always performed per-request at the request's own order, so
 requests that share moments may still differ in kernel, grid, and ``N``.
 
+Host work that depends only on content is paid once per instance, in
+bounded least-recently-used memos (:data:`MEMO_BOUND` entries each):
+the symmetry check per operator fingerprint, the rescaling per
+``(fingerprint, bounds_method, epsilon)``, the analytic price per
+``(key, N, slot)``, and the reconstruction per served moment table.
+
 :meth:`~SpectralService.flush_refined` adds progressive refinement: a
 batch whose key holds a cached low-``N`` prefix is answered immediately
 from the slice, then refined tiers are streamed (``on_tier``) as the
@@ -34,6 +40,7 @@ property suite pins both.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -49,6 +56,7 @@ from repro.kpm.moments import (
 )
 from repro.kpm.reconstruct import dos_from_moments
 from repro.kpm.rescale import rescale_operator
+from repro.sparse.ops import as_operator
 from repro.trace.tracer import current_tracer
 from repro.serve.cache import CacheEntry, MomentCache
 from repro.serve.health import EnginePool, EngineSlot
@@ -69,6 +77,40 @@ _REQUEST_TYPES = (DoSRequest, LDoSRequest, GreenRequest)
 
 #: Engine label of host-side (non-pooled) LDoS moment computations.
 HOST_ENGINE = "host"
+
+#: Entries each per-instance host memo keeps before evicting the least
+#: recently used one.  A BENCH_PR8-shape trace needs well under this.
+MEMO_BOUND = 64
+
+
+class _LruMemo:
+    """Bounded least-recently-used memo of a pure function's results."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
+
+    def get(self, key, compute):
+        """The value for ``key``, calling ``compute()`` on a miss.
+
+        A ``compute`` that raises stores nothing.
+        """
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+            return entries[key]
+        value = compute()
+        entries[key] = value
+        if len(entries) > MEMO_BOUND:
+            entries.popitem(last=False)
+        return value
 
 
 class SpectralService:
@@ -119,11 +161,13 @@ class SpectralService:
         self.cache = MomentCache(cache_capacity, prefix=prefix_cache)
         self.scheduler = FifoCoalesceScheduler(max_batch_size=max_batch_size)
         self._key_affinity: dict[tuple, int] = {}
-        #: Scaled-operator memo per key: rescaling is deterministic, so
-        #: one rescale per identity serves computes, extensions, and the
-        #: analytic naive-cost estimates alike.
-        self._scaled_by_key: dict[tuple, tuple] = {}
-        self._naive_memo: dict[tuple, float | None] = {}
+        # Host memos (see the module doc).  Affinity stays unbounded: it
+        # must remain a pure function of the offered trace.
+        self._symmetric = _LruMemo()
+        self._rescaled = _LruMemo()
+        self._tuned = _LruMemo()
+        self._estimates = _LruMemo()
+        self._reconstructed = _LruMemo()
         self._next_seq = 0
         self._requests_total = 0
         self._responses_total = 0
@@ -143,6 +187,11 @@ class SpectralService:
     def _prepare(self, request) -> tuple:
         """Validate ``request`` and derive its coalescing identity.
 
+        The operator is coerced and fingerprinted first; the symmetry
+        check then runs once per fingerprint.  The fingerprint hashes
+        the stored content, so an operator edited in place is checked
+        again, and an operator that fails is never remembered.
+
         Returns ``(operator, key)`` and registers the key's engine
         affinity on first appearance.  Shared by :meth:`submit` and the
         gateway front door, which runs admission *between* preparation
@@ -155,7 +204,7 @@ class SpectralService:
                 "request must be a DoSRequest, LDoSRequest, or GreenRequest; "
                 f"got {type(request).__name__}"
             )
-        op = validate_spectral_operator(request.hamiltonian)
+        op = as_operator(request.hamiltonian)
         fingerprint_method = getattr(op, "fingerprint", None)
         if fingerprint_method is None:
             raise ValidationError(
@@ -163,6 +212,10 @@ class SpectralService:
                 "the service needs a stable content hash for coalescing and "
                 "caching (CSRMatrix/COOMatrix/DenseOperator all provide one)"
             )
+        fingerprint = fingerprint_method()
+        if fingerprint not in self._symmetric:
+            validate_spectral_operator(op)
+        self._symmetric.get(fingerprint, lambda: True)
         site = None
         if isinstance(request, LDoSRequest):
             site = request.site
@@ -170,10 +223,7 @@ class SpectralService:
                 raise ValidationError(
                     f"site {site} out of range for dimension {op.shape[0]}"
                 )
-        key = (
-            fingerprint_method(),
-            moment_identity_key(request.config, site=site),
-        )
+        key = (fingerprint, moment_identity_key(request.config, site=site))
         if key not in self._key_affinity:
             self._key_affinity[key] = len(self._key_affinity)
         return op, key
@@ -436,25 +486,30 @@ class SpectralService:
     def _scaled_for_key(self, key: tuple, operator, config) -> tuple:
         """The (scaled, rescaling) pair for ``key``, memoized.
 
-        Rescaling is a deterministic function of the operator and the
-        bounds options — both part of the key — so one rescale serves
-        every compute, extension, naive-cost estimate, and gateway
-        admission price for the key.
+        Rescaling depends only on the operator content and the bounds
+        options, so one rescale per ``(fingerprint, bounds_method,
+        epsilon)`` serves every LDoS site and seed of the operator, and
+        every compute, extension and price.  A tuner's storage choice
+        reads the config, so the tuned conversion is kept per key.
         """
-        cached = self._scaled_by_key.get(key)
-        if cached is None:
-            scaled, rescaling = rescale_operator(
+        rescaled = self._rescaled.get(
+            (key[0], config.bounds_method, config.epsilon),
+            lambda: rescale_operator(
                 operator, method=config.bounds_method, epsilon=config.epsilon
-            )
-            if self.tuner is not None:
-                # Convert once to the tuned storage: engines and the
-                # LDoS host recursion then execute (and admission prices)
-                # that format for every request sharing the key.
-                choice = self.tuner.choose(scaled, config)
-                scaled = self.tuner.prepare_operator(scaled, choice)
-            cached = (scaled, rescaling)
-            self._scaled_by_key[key] = cached
-        return cached
+            ),
+        )
+        if self.tuner is None:
+            return rescaled
+
+        def tune():
+            # Convert once to the tuned storage: engines and the LDoS
+            # host recursion then execute (and admission prices) that
+            # format for every request sharing the key.
+            scaled, rescaling = rescaled
+            choice = self.tuner.choose(scaled, config)
+            return self.tuner.prepare_operator(scaled, choice), rescaling
+
+        return self._tuned.get(key, tune)
 
     def _scaled_for(self, batch: Batch) -> tuple:
         """The (scaled, rescaling) pair for the batch's key, memoized."""
@@ -622,25 +677,31 @@ class SpectralService:
     ) -> float | None:
         if entry.engine == HOST_ENGINE:
             return None
-        memo_key = (batch.key, num_moments, entry.engine)
-        if memo_key in self._naive_memo:
-            return self._naive_memo[memo_key]
-        slot = self._slot_for_engine(entry.engine)
-        estimate = (
-            getattr(slot.engine, "estimate_modeled_seconds", None)
-            if slot is not None
-            else None
+        # Any slot of that name prices it, active or not: the estimate is
+        # analytic, so the naive total does not depend on pool health.
+        slot = next(s for s in self.pool.slots if s.name == entry.engine)
+        head = batch.entries[0]
+        config = head.request.config
+        if config.num_moments != num_moments:
+            config = config.with_updates(num_moments=num_moments)
+        cost = self._estimate(slot, batch.key, head.operator, config)
+        return entry.modeled_seconds if cost is None else cost
+
+    def _estimate(self, slot: EngineSlot, key: tuple, operator, config):
+        """``slot``'s analytic modeled seconds for ``key`` at ``config``'s N.
+
+        ``None`` when the engine has no ``estimate_modeled_seconds``.
+        The estimate reads only the scaled operator and the identity
+        key's fields plus ``num_moments``, so it is memoized per
+        ``(key, N, slot name)``; the slot itself is chosen per call.
+        """
+        estimate = getattr(slot.engine, "estimate_modeled_seconds", None)
+        if estimate is None:
+            return None
+        return self._estimates.get(
+            (key, config.num_moments, slot.name),
+            lambda: estimate(self._scaled_for_key(key, operator, config)[0], config),
         )
-        if estimate is not None:
-            config = batch.entries[0].request.config
-            if config.num_moments != num_moments:
-                config = config.with_updates(num_moments=num_moments)
-            scaled, _ = self._scaled_for(batch)
-            cost = estimate(scaled, config)
-        else:
-            cost = entry.modeled_seconds
-        self._naive_memo[memo_key] = cost
-        return cost
 
     def _convergence_estimate(self, entry: CacheEntry) -> float:
         moments = entry.moments
@@ -650,7 +711,7 @@ class SpectralService:
         return float(np.sqrt(np.mean(np.square(tail))))
 
     # ------------------------------------------------------------------
-    # Reconstruction (always per-request)
+    # Reconstruction (per request, memoized per moment table)
     # ------------------------------------------------------------------
     def _reconstruct(
         self, request, entry: CacheEntry, *, source, batch_id, modeled_seconds,
@@ -658,23 +719,12 @@ class SpectralService:
         reason: str = "", deadline_missed: bool = False,
     ) -> SpectralResponse:
         config = request.config
-        if isinstance(request, GreenRequest):
-            energies = np.asarray(request.energies, dtype=np.float64)
-            values = greens_function(
-                entry.moments, entry.rescaling, energies, kernel=request.kernel
-            )
-        else:
-            energies, values = dos_from_moments(
-                entry.moments,
-                entry.rescaling,
-                kernel=config.kernel,
-                num_points=config.num_energy_points,
-            )
+        energies, values = self._reconstruction(request, entry)
         return SpectralResponse(
             kind=request.kind,
             tag=request.tag,
-            energies=energies,
-            values=values,
+            energies=energies.copy(),
+            values=values.copy(),
             moments=entry.moments,
             rescaling=entry.rescaling,
             config=config,
@@ -690,6 +740,46 @@ class SpectralService:
             tenant=request.tenant,
             deadline=request.deadline,
             deadline_missed=deadline_missed,
+        )
+
+    def _reconstruction(self, request, entry: CacheEntry) -> tuple:
+        """``(energies, values)`` for ``request`` from ``entry``'s moments.
+
+        Memoized on the served moment bytes, the rescaling, the request
+        kind and the reconstruction parameters.  Not on ``(key, N)``:
+        after an eviction the same key and order can be recomputed on
+        another engine whose moments differ in the last bits.  The memo
+        owns its arrays; callers copy them before handing them out.
+        """
+        mu = np.ascontiguousarray(getattr(entry.moments, "mu", entry.moments))
+        rescaling = entry.rescaling
+        common = (
+            mu.dtype.str,
+            mu.tobytes(),
+            float(rescaling.scale).hex(),
+            float(rescaling.shift).hex(),
+            request.kind,
+        )
+        if isinstance(request, GreenRequest):
+            energies = np.asarray(request.energies, dtype=np.float64)
+            return self._reconstructed.get(
+                common + (request.kernel, energies.tobytes()),
+                lambda: (
+                    energies,
+                    greens_function(
+                        entry.moments, rescaling, energies, kernel=request.kernel
+                    ),
+                ),
+            )
+        config = request.config
+        return self._reconstructed.get(
+            common + (config.kernel, config.num_energy_points),
+            lambda: dos_from_moments(
+                entry.moments,
+                rescaling,
+                kernel=config.kernel,
+                num_points=config.num_energy_points,
+            ),
         )
 
     # ------------------------------------------------------------------

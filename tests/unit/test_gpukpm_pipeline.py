@@ -14,7 +14,7 @@ from repro.gpukpm import (
     plan_memory,
     tune_block_size,
 )
-from repro.kpm import KPMConfig, rescale_operator, stochastic_moments
+from repro.kpm import KPMConfig, compute_dos, rescale_operator, stochastic_moments
 from repro.lattice import chain, cubic, tight_binding_hamiltonian
 
 
@@ -212,6 +212,35 @@ class TestEngine:
         assert report.backend == "gpu-sim"
         assert report.device == "NVIDIA Tesla C2050"
         assert data.dimension == scaled_cube.shape[0]
+
+
+class TestDoublingRejected:
+    """The device runs the plain recursion only, so it refuses doubling."""
+
+    def test_compute_dos_rejects_on_gpu_sim_only(self, small_config):
+        h = tight_binding_hamiltonian(cubic(4), format="csr")
+        doubling = small_config.with_updates(use_doubling=True)
+        with pytest.raises(ValidationError, match="use_doubling"):
+            compute_dos(h, doubling, backend="gpu-sim")
+        for backend in ("numpy", "cpu-model"):
+            plain = compute_dos(h, small_config, backend=backend).moments.mu
+            doubled = compute_dos(h, doubling, backend=backend).moments.mu
+            np.testing.assert_allclose(doubled, plain, atol=1e-13)
+
+    def test_every_entry_point_rejects(self, scaled_cube, small_config):
+        doubling = small_config.with_updates(use_doubling=True)
+        engine = GpuKPM()
+        entry_points = [
+            lambda: engine.compute_moments(scaled_cube, doubling),
+            lambda: engine.compute_moments_resumable(scaled_cube, doubling),
+            lambda: engine.estimate_modeled_seconds(scaled_cube, doubling),
+            lambda: engine.run_partition(
+                scaled_cube, doubling, first_vector=0, num_vectors=2
+            ),
+        ]
+        for call in entry_points:
+            with pytest.raises(ValidationError, match="use_doubling"):
+                call()
 
 
 class TestTuneBlockSize:
