@@ -4,7 +4,9 @@ Times ``Gateway.run_trace`` on the ``gateway-overload`` traffic shape
 (seed 128, the first trace of a seed-1 benchmark run) and checks the two
 properties the host memos must keep: every answer is bit-identical to a
 direct library call on the engine that served it, and the analytic
-price is computed at most once per distinct ``(key, N, slot)``.
+price is computed at most once per distinct ``(key, N, slot)`` — with
+the vector setup added for LDoS keys, which omit it although the price
+reads it.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from repro.gpukpm import GpuKPM
 from repro.kpm import compute_dos, greens_function, local_dos
 from repro.obs.workloads import GATEWAY_WORKLOAD
 from repro.serve import Gateway, GreenRequest, LDoSRequest, TenantPolicy, timed_trace
+from repro.serve.requests import moment_config_key
 from repro.serve.service import SpectralService
 
 SEED = 128
@@ -58,7 +61,8 @@ def _direct(request, engine, num_moments):
 
 class TestGatewayReplay:
     def test_replay_bit_identical_and_priced_once(self, run_once, benchmark, monkeypatch):
-        # Each estimate is filed under the (key, N, slot) being priced.
+        # Each estimate is filed under the (key, config with N, slot)
+        # being priced.
         estimates = []
         pricing = [None]
         estimate = GpuKPM.estimate_modeled_seconds
@@ -69,7 +73,7 @@ class TestGatewayReplay:
             return estimate(self, scaled_operator, config)
 
         def recorded_memo(self, slot, key, operator, config):
-            pricing[0] = (key, config.num_moments, slot.name)
+            pricing[0] = (key, moment_config_key(config), slot.name)
             return memo(self, slot, key, operator, config)
 
         monkeypatch.setattr(GpuKPM, "estimate_modeled_seconds", counted_estimate)

@@ -270,6 +270,8 @@ class MultiGpuKPM:
     """
 
     name = "cluster"
+    #: Each node runs :class:`GpuKPM`, which runs the plain recursion only.
+    supports_doubling = False
 
     def __init__(
         self,

@@ -147,6 +147,10 @@ class GpuKPM:
     """
 
     name = "gpu-sim"
+    #: The device kernels run the plain three-term recursion only (see
+    #: :meth:`resolve_spmv`); the serving pool reads this to route
+    #: ``use_doubling`` requests to an engine that runs them.
+    supports_doubling = False
 
     def __init__(
         self,
@@ -777,6 +781,7 @@ class GpuSimEngine:
     itself and is what ``get_engine("gpu-sim")`` returns."""
 
     name = "gpu-sim"
+    supports_doubling = False
 
     def __init__(
         self,

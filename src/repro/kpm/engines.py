@@ -47,7 +47,12 @@ __all__ = [
 
 @runtime_checkable
 class MomentEngine(Protocol):
-    """Structural type of an execution backend."""
+    """Structural type of an execution backend.
+
+    An engine that cannot run the ``use_doubling`` recursion sets the
+    class attribute ``supports_doubling = False`` (absent means it can);
+    the serving pool routes doubling requests around it.
+    """
 
     name: str
 

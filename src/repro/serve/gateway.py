@@ -266,9 +266,10 @@ class Gateway(SpectralService):
         Priced on the key's affinity engine so repeat workloads are
         billed consistently; engines without the estimator capability
         (and pure host paths) price at zero — unmetered, like v1.  The
-        slot is chosen per call; only its estimate is memoized.
+        slot is chosen per call, among the engines that can run the
+        request, as dispatch chooses it; only its estimate is memoized.
         """
-        slots = self.pool.healthy_slots()
+        slots = self.pool.candidates(doubling=config.use_doubling)
         if not slots:
             return 0.0
         slot = slots[self._key_affinity[key] % len(slots)]

@@ -58,6 +58,11 @@ class EngineSlot:
         return f"{self.name}[{state}]"
 
 
+def _runs_doubling(slot: EngineSlot) -> bool:
+    """Whether the slot's engine runs the ``use_doubling`` recursion."""
+    return getattr(slot.engine, "supports_doubling", True)
+
+
 @dataclass
 class PoolStats:
     """Counters the pool exposes to the service metrics."""
@@ -125,19 +130,44 @@ class EnginePool:
         self._refresh()
         return [slot for slot in self.slots if slot.healthy]
 
-    def select(self, affinity: int, *, excluding=()) -> EngineSlot:
+    def runs_doubling(self) -> bool:
+        """Whether any slot, in rotation or not, runs ``use_doubling``."""
+        return any(_runs_doubling(slot) for slot in self.slots)
+
+    def candidates(self, *, excluding=(), doubling: bool = False) -> list[EngineSlot]:
+        """Healthy slots in rotation that can take a batch.
+
+        ``excluding`` removes slots already tried for the batch.  A
+        ``doubling`` batch is offered only engines that run the doubling
+        recursion; when none of those is in rotation, healthy ones held
+        outside it (an elastic pool's standby slots) take the batch
+        rather than fail it.
+        """
+        slots = [s for s in self.healthy_slots() if s not in excluding]
+        if doubling:
+            slots = [s for s in slots if _runs_doubling(s)] or [
+                s
+                for s in self.slots
+                if s.healthy and s not in excluding and _runs_doubling(s)
+            ]
+        return slots
+
+    def select(
+        self, affinity: int, *, excluding=(), doubling: bool = False
+    ) -> EngineSlot:
         """Pick the slot for a batch with stable ``affinity``.
 
         ``affinity`` is any deterministic integer attached to the batch's
         key (the service uses the key's first-appearance index), so a
         given workload keeps hitting the same engine while the pool
-        membership is unchanged.  ``excluding`` removes slots already
-        tried for this batch.
+        membership is unchanged.  ``excluding`` and ``doubling`` narrow
+        the choice as in :meth:`candidates`.
         """
-        candidates = [s for s in self.healthy_slots() if s not in excluding]
+        candidates = self.candidates(excluding=excluding, doubling=doubling)
         if not candidates:
+            needed = "engine running use_doubling=True" if doubling else "engine"
             raise FaultError(
-                "no healthy engine available: "
+                f"no healthy {needed} available: "
                 + ", ".join(slot.describe() for slot in self.slots)
             )
         return candidates[affinity % len(candidates)]

@@ -20,7 +20,7 @@ Host work that depends only on content is paid once per instance, in
 bounded least-recently-used memos (:data:`MEMO_BOUND` entries each):
 the symmetry check per operator fingerprint, the rescaling per
 ``(fingerprint, bounds_method, epsilon)``, the analytic price per
-``(key, N, slot)``, and the reconstruction per served moment table.
+``(key, config, slot)``, and the reconstruction per served moment table.
 
 :meth:`~SpectralService.flush_refined` adds progressive refinement: a
 batch whose key holds a cached low-``N`` prefix is answered immediately
@@ -66,6 +66,7 @@ from repro.serve.requests import (
     GreenRequest,
     LDoSRequest,
     SpectralResponse,
+    moment_config_key,
     moment_identity_key,
 )
 from repro.serve.scheduler import Batch, FifoCoalesceScheduler, QueuedRequest
@@ -93,9 +94,6 @@ class _LruMemo:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
 
     def get(self, key, compute):
         """The value for ``key``, calling ``compute()`` on a miss.
@@ -213,9 +211,13 @@ class SpectralService:
                 "caching (CSRMatrix/COOMatrix/DenseOperator all provide one)"
             )
         fingerprint = fingerprint_method()
-        if fingerprint not in self._symmetric:
+
+        def validate():
+            # Remember only that the content passed, not the operator.
             validate_spectral_operator(op)
-        self._symmetric.get(fingerprint, lambda: True)
+            return True
+
+        self._symmetric.get(fingerprint, validate)
         site = None
         if isinstance(request, LDoSRequest):
             site = request.site
@@ -223,6 +225,15 @@ class SpectralService:
                 raise ValidationError(
                     f"site {site} out of range for dimension {op.shape[0]}"
                 )
+        elif request.config.use_doubling and not self.pool.runs_doubling():
+            # LDoS moments run on the host, which doubles; trace requests
+            # need a pooled engine that does, or flush could not serve them.
+            raise ValidationError(
+                "use_doubling=True needs an engine that runs the doubling "
+                "recursion; none of "
+                + ", ".join(slot.name for slot in self.pool.slots)
+                + " does"
+            )
         key = (fingerprint, moment_identity_key(request.config, site=site))
         if key not in self._key_affinity:
             self._key_affinity[key] = len(self._key_affinity)
@@ -232,9 +243,10 @@ class SpectralService:
         """Admit ``request`` into the queue; return its sequence number.
 
         Validation (operator symmetry, site bounds, fingerprint
-        availability) happens here so :meth:`flush` only sees well-formed
-        work.  The queue key is the *identity* key — truncation order
-        excluded — so mixed-``N`` requests coalesce.
+        availability, an engine for ``use_doubling``) happens here so
+        :meth:`flush` only sees well-formed work.  The queue key is the
+        *identity* key — truncation order excluded — so mixed-``N``
+        requests coalesce.
         """
         op, key = self._prepare(request)
         seq = self._next_seq
@@ -542,7 +554,9 @@ class SpectralService:
         tracer = current_tracer()
         tried: list = []
         while True:
-            slot = self.pool.select(affinity, excluding=tried)
+            slot = self.pool.select(
+                affinity, excluding=tried, doubling=config.use_doubling
+            )
             # Capture a recursion checkpoint only when there is a cache
             # to keep it in — the capture download is not free.
             resumable = (
@@ -664,8 +678,9 @@ class SpectralService:
 
         One engine run *per request at its own order* — the
         pre-:mod:`repro.serve` workflow.  Engines exposing the analytic
-        ``estimate_modeled_seconds`` capability are priced exactly;
-        others fall back to the entry's invested cost per member.
+        ``estimate_modeled_seconds`` capability are priced exactly while
+        in rotation; others, and engines out of rotation, fall back to
+        the entry's invested cost per member.
         """
         for queued in batch.entries:
             cost = self._naive_cost(batch, entry, queued.request.config.num_moments)
@@ -677,9 +692,9 @@ class SpectralService:
     ) -> float | None:
         if entry.engine == HOST_ENGINE:
             return None
-        # Any slot of that name prices it, active or not: the estimate is
-        # analytic, so the naive total does not depend on pool health.
-        slot = next(s for s in self.pool.slots if s.name == entry.engine)
+        slot = self._slot_for_engine(entry.engine)
+        if slot is None:
+            return entry.modeled_seconds
         head = batch.entries[0]
         config = head.request.config
         if config.num_moments != num_moments:
@@ -688,18 +703,20 @@ class SpectralService:
         return entry.modeled_seconds if cost is None else cost
 
     def _estimate(self, slot: EngineSlot, key: tuple, operator, config):
-        """``slot``'s analytic modeled seconds for ``key`` at ``config``'s N.
+        """``slot``'s analytic modeled seconds for ``key`` at ``config``.
 
         ``None`` when the engine has no ``estimate_modeled_seconds``.
-        The estimate reads only the scaled operator and the identity
-        key's fields plus ``num_moments``, so it is memoized per
-        ``(key, N, slot name)``; the slot itself is chosen per call.
+        The estimate reads the scaled operator and the stochastic setup
+        plus ``num_moments``, so it is memoized per ``(key, trace config
+        key with N, slot name)``; the slot itself is chosen per call.
+        For trace requests the config part repeats the key's; an LDoS
+        key omits the vector count and seed, which the estimate reads.
         """
         estimate = getattr(slot.engine, "estimate_modeled_seconds", None)
         if estimate is None:
             return None
         return self._estimates.get(
-            (key, config.num_moments, slot.name),
+            (key, moment_config_key(config), slot.name),
             lambda: estimate(self._scaled_for_key(key, operator, config)[0], config),
         )
 

@@ -46,6 +46,28 @@ class TestSelection:
         with pytest.raises(FaultError, match="no healthy engine"):
             pool.select(0, excluding=(pool.slots[0],))
 
+    def test_doubling_skips_engines_that_cannot_run_it(self):
+        pool = EnginePool(("gpu-sim", "cpu-model", "gpu-sim"))
+        assert pool.runs_doubling()
+        assert [pool.select(a).name for a in range(3)] == [
+            "gpu-sim", "cpu-model", "gpu-sim#1",
+        ]
+        assert {pool.select(a, doubling=True).name for a in range(3)} == {
+            "cpu-model"
+        }
+        only_gpu = EnginePool(("gpu-sim",))
+        assert not only_gpu.runs_doubling()
+        assert only_gpu.candidates(doubling=True) == []
+        with pytest.raises(FaultError, match="use_doubling"):
+            only_gpu.select(0, doubling=True)
+
+    def test_doubling_takes_a_standby_slot_outside_rotation(self):
+        pool = ElasticEnginePool(("gpu-sim", "cpu-model"), max_active=2)
+        assert [slot.name for slot in pool.healthy_slots()] == ["gpu-sim"]
+        assert [slot.name for slot in pool.candidates()] == ["gpu-sim"]
+        assert pool.select(0, doubling=True).name == "cpu-model"
+        assert pool.active == 1
+
 
 class TestHealthTrajectory:
     def test_eject_then_readmit(self):

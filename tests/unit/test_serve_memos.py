@@ -12,7 +12,13 @@ import pytest
 
 from repro.errors import DeviceLostError, ValidationError
 from repro.gpukpm import GpuKPM
-from repro.kpm import KPMConfig, compute_dos, greens_function, local_dos
+from repro.kpm import (
+    KPMConfig,
+    compute_dos,
+    greens_function,
+    local_dos,
+    rescale_operator,
+)
 from repro.lattice import chain, cubic, tight_binding_hamiltonian
 from repro.obs.workloads import GATEWAY_WORKLOAD
 from repro.serve import (
@@ -32,12 +38,12 @@ ENERGIES = (-1.0, 0.25)
 MEMOS = ("_symmetric", "_rescaled", "_tuned", "_estimates", "_reconstructed")
 
 
-def bench_pr8_trace():
+def bench_pr8_trace(seed=GATEWAY_WORKLOAD["seed"]):
     """The overloaded multi-tenant trace of the BENCH_PR8 gateway gate."""
     w = GATEWAY_WORKLOAD
     return timed_trace(
         w["requests"],
-        seed=w["seed"],
+        seed=seed,
         tenants=w["tenants"],
         duration=w["duration"],
         deadline_slack=w["deadline_slack"],
@@ -194,3 +200,71 @@ class TestReconstructionMemo:
         # Revisiting the evicted first operator still answers the same.
         [again] = service.serve([requests[0]])
         assert np.array_equal(again.values, direct_values(requests[0], "gpu-sim"))
+
+
+def direct_estimate(engine, operator, config):
+    """An unmemoized analytic price of ``config`` on ``engine``."""
+    scaled, _ = rescale_operator(
+        operator, method=config.bounds_method, epsilon=config.epsilon
+    )
+    return engine.estimate_modeled_seconds(scaled, config)
+
+
+class TestPricingMemo:
+    # Seed 179 also prices LDoS requests at one site under two vector
+    # setups, which share a moment key but not a price.
+    @pytest.mark.parametrize("seed", [GATEWAY_WORKLOAD["seed"], 179])
+    def test_every_estimate_equals_an_unmemoized_one(self, monkeypatch, seed):
+        checked = []
+        memo = SpectralService._estimate
+
+        def compared(self, slot, key, operator, config):
+            cost = memo(self, slot, key, operator, config)
+            if cost is not None:
+                assert cost == direct_estimate(slot.engine, operator, config)
+                checked.append(cost)
+            return cost
+
+        monkeypatch.setattr(SpectralService, "_estimate", compared)
+        gateway = bench_pr8_gateway()
+        gateway.run_trace(
+            bench_pr8_trace(seed), flush_interval=GATEWAY_WORKLOAD["flush_interval"]
+        )
+        assert len(checked) > len(gateway._estimates)
+
+    def test_ldos_price_reads_the_vector_setup(self):
+        # An LDoS key omits the vector count and seed, which the device
+        # estimate reads: each setup must be priced on its own.
+        h = tight_binding_hamiltonian(chain(32))
+        wide = CONFIG.with_updates(num_random_vectors=8, seed=11)
+        gateway = Gateway(template=("gpu-sim",))
+        for tenant, config in (("a", CONFIG), ("b", wide)):
+            gateway.offer(LDoSRequest(h, site=1, config=config, tenant=tenant))
+        consumed = {
+            tenant: counters["consumed_seconds"]
+            for tenant, counters in gateway.gateway_metrics().per_tenant.items()
+        }
+        engine = gateway.pool.slots[0].engine
+        assert consumed == {
+            "a": direct_estimate(engine, h, CONFIG),
+            "b": direct_estimate(engine, h, wide),
+        }
+        assert consumed["a"] != consumed["b"]
+
+    def test_naive_cost_on_an_ejected_producer_is_its_invested_cost(self):
+        h = tight_binding_hamiltonian(cubic(4))
+        config = KPMConfig(num_moments=32, num_random_vectors=4, seed=3)
+        service = SpectralService(("gpu-sim", "cpu-model"))
+        [first] = service.serve([DoSRequest(h, config)])
+        assert first.engine == "gpu-sim"
+        estimate = direct_estimate(service.pool.slots[0].engine, h, config)
+        assert service.metrics().modeled_naive_seconds == estimate
+        # Eject the producer: a prefix hit on its entry is then charged
+        # the entry's invested cost, not an estimate at the lower order.
+        service.pool.report_failure(service.pool.slots[0])
+        low = config.with_updates(num_moments=16)
+        [second] = service.serve([DoSRequest(h, low)])
+        assert second.source == "cache" and second.engine == "gpu-sim"
+        assert service.metrics().modeled_naive_seconds == (
+            estimate + first.modeled_seconds
+        )

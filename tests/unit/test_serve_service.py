@@ -8,9 +8,11 @@ from repro.kpm import KPMConfig, compute_dos, local_dos
 from repro.kpm.green import greens_function
 from repro.serve import (
     DoSRequest,
+    Gateway,
     GreenRequest,
     LDoSRequest,
     SpectralService,
+    TimedArrival,
 )
 
 
@@ -429,3 +431,93 @@ class TestResponseAliasing:
         [response] = service.serve([DoSRequest(chain_csr, low)])
         with pytest.raises(ValueError, match="read-only"):
             response.moments.mu[0] = 99.0
+
+
+class TestDoublingRouting:
+    """gpu-sim runs the plain recursion only: doubling work goes elsewhere.
+
+    A doubling request must be refused at admission when no engine can
+    run it, and otherwise routed to one that can, so a flush or a pump
+    never fails mid-drain and loses the other batches' answers.
+    """
+
+    def mixed(self, h, config):
+        other = h.scale_shift(1.5, 0.0)
+        doubling = config.with_updates(use_doubling=True)
+        # First appearance gives the doubling key affinity 0: gpu-sim.
+        return [
+            DoSRequest(h, doubling, tag="doubling"),
+            DoSRequest(h, config, tag="plain"),
+            DoSRequest(other, config, tag="other"),
+            GreenRequest(h, energies=(-1.0, 0.5), config=doubling, tag="green"),
+        ]
+
+    def check(self, requests, responses):
+        assert [r.tag for r in responses] == [r.tag for r in requests]
+        for request, response in zip(requests, responses):
+            assert response.outcome == "served"
+            if request.config.use_doubling:
+                assert response.engine == "cpu-model"
+            direct = compute_dos(
+                request.hamiltonian, request.config, backend=response.engine
+            )
+            if isinstance(request, GreenRequest):
+                expected = greens_function(
+                    direct.moments, direct.rescaling,
+                    np.asarray(request.energies), kernel=request.kernel,
+                )
+            else:
+                expected = direct.density
+            assert np.array_equal(response.values, expected), request.tag
+
+    def test_service_serves_every_request_of_a_mixed_flush(
+        self, chain_csr, small_config
+    ):
+        requests = self.mixed(chain_csr, small_config)
+        service = SpectralService(("gpu-sim", "cpu-model"))
+        self.check(requests, service.serve(requests))
+
+    def test_gateway_serves_on_a_standby_engine_after_scale_down(
+        self, chain_csr, small_config
+    ):
+        requests = self.mixed(chain_csr, small_config)
+        gateway = Gateway(("gpu-sim", "cpu-model"), max_active=2)
+        gateway.pool.rebalance(10.0)
+        assert gateway.pool.active == 2
+        for request in requests:
+            assert gateway.offer(request) == (gateway._next_seq - 1, None)
+        gateway.pool.rebalance(0.0)
+        assert gateway.pool.active == 1
+        responses = gateway.pump()
+        assert gateway._pending == {}
+        self.check(requests, [responses[seq] for seq in sorted(responses)])
+
+    def test_gateway_trace_prices_doubling_on_an_engine_that_runs_it(
+        self, chain_csr, small_config
+    ):
+        requests = self.mixed(chain_csr, small_config)
+        gateway = Gateway(("gpu-sim", "cpu-model"), max_active=2)
+        arrivals = [
+            TimedArrival(at=0.25 * k, request=r) for k, r in enumerate(requests)
+        ]
+        self.check(requests, gateway.run_trace(arrivals))
+
+    def test_rejected_at_admission_when_no_engine_runs_it(
+        self, chain_csr, small_config
+    ):
+        doubling = small_config.with_updates(use_doubling=True)
+        for front_door in (
+            SpectralService(("gpu-sim",)).submit,
+            Gateway(("gpu-sim",)).offer,
+        ):
+            with pytest.raises(ValidationError, match="use_doubling"):
+                front_door(DoSRequest(chain_csr, doubling))
+        # LDoS moments run on the host recursion, which doubles.
+        service = SpectralService(("gpu-sim",))
+        request = LDoSRequest(chain_csr, site=3, config=doubling)
+        [response] = service.serve(
+            [DoSRequest(chain_csr, small_config), request]
+        )[1:]
+        assert np.array_equal(
+            response.values, local_dos(chain_csr, 3, doubling)[1]
+        )
