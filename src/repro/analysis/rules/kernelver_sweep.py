@@ -16,6 +16,9 @@ buffers unpacked from them (``.csr`` / ``.ell`` / ``.dense`` / ``.data``
 storage is a finding.  Elementwise arithmetic (``*``, ``+=``) on
 gathered slots — the canonical slot sweep itself — is untouched, and
 ``matvec`` / ``matmat`` results are clean host vectors and blocks.
+NumPy 2's ``np.vecdot`` / ``np.vecmat`` / ``np.matvec`` ufuncs are
+dot-family calls: a ``matvec`` is canonical only as a method of a
+non-NumPy object.
 """
 
 from __future__ import annotations
@@ -31,23 +34,36 @@ __all__ = ["CanonicalSweepRule"]
 
 #: numpy-level contraction callables that bypass the canonical sweep.
 _DOT_FUNCS = frozenset(
-    {"dot", "matmul", "einsum", "tensordot", "vdot", "inner", "outer"}
-)
-
-#: Callees allowed to consume matrix storage (the canonical entry points).
-_ALLOWED_CALLEES = frozenset(
     {
+        "dot",
+        "matmul",
+        "einsum",
+        "tensordot",
+        "vdot",
+        "inner",
+        "outer",
+        "vecdot",
+        "vecmat",
         "matvec",
-        "matmat",
-        "dense_sweep_matvec",
-        "csr_sweep_matvec",
-        "ell_sweep_matvec",
-        "dense_sweep_matmat",
-        "csr_sweep_matmat",
-        "ell_sweep_matmat",
-        "build_sweep_plan",
     }
 )
+
+#: Module names under which NumPy's own functions are called.
+_NUMPY_BASES = frozenset({"np", "numpy"})
+
+#: Matrix methods that run the canonical sweep.  NumPy's ``np.matvec``
+#: ufunc shares a name but not the contraction order, so a call counts
+#: as canonical only on a non-NumPy base.
+_CANONICAL_METHODS = frozenset({"matvec", "matmat"})
+
+
+def _is_canonical_method(node: ast.Call) -> bool:
+    func = node.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in _CANONICAL_METHODS
+        and not (isinstance(func.value, ast.Name) and func.value.id in _NUMPY_BASES)
+    )
 
 
 def _matrix_params(func: ast.FunctionDef, contract) -> set:
@@ -90,15 +106,15 @@ def _expr_tainted(node: ast.AST, tainted: set) -> bool:
             _expr_tainted(comp, tainted) for comp in node.comparators
         )
     if isinstance(node, ast.Call):
+        # Calls return clean host values (canonical products included),
+        # except np.asarray, which may view its argument.
         callee = node.func
         callee_name = (
             callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
         )
-        if callee_name in _ALLOWED_CALLEES:
-            return False  # canonical products return clean host vectors
-        if callee_name == "asarray":
-            return any(_expr_tainted(arg, tainted) for arg in node.args)
-        return False
+        return callee_name == "asarray" and any(
+            _expr_tainted(arg, tainted) for arg in node.args
+        )
     return False
 
 
@@ -148,14 +164,16 @@ class CanonicalSweepRule(Rule):
         "and program flavors (scalar vs warp-vector) holds because every "
         "matrix product runs one canonical contraction order "
         "(repro.sparse.sweep).  A kernel applying @ / np.dot / np.einsum "
-        "/ .dot to the raw storage buffers of a matrix parameter "
-        "re-derives the product in numpy's order — close, but not "
+        "/ np.vecdot / np.matvec / .dot to the raw storage buffers of a "
+        "matrix parameter re-derives the product in numpy's order — "
+        "close, but not "
         "replayable.  RA018 taints matrix parameters (contract "
         "MatrixSpec or DeviceMatrix annotation) through .csr/.ell/.dense "
         "unpacks, .data views, subscripts, and np.asarray, and flags "
         "dot-family operations on tainted operands.  The canonical slot "
         "sweep itself — elementwise gather/multiply/accumulate loops — "
-        "and matvec / matmat calls are allowed; their results are clean."
+        "and matvec / matmat method calls are allowed; their results are "
+        "clean.  NumPy's np.matvec ufunc is not a canonical matvec."
     )
 
     def check(
@@ -190,7 +208,7 @@ class CanonicalSweepRule(Rule):
                         if isinstance(func_node, ast.Attribute)
                         else getattr(func_node, "id", None)
                     )
-                    if name not in _DOT_FUNCS:
+                    if name not in _DOT_FUNCS or _is_canonical_method(node):
                         continue
                     operands = list(node.args)
                     if isinstance(func_node, ast.Attribute):

@@ -159,23 +159,26 @@ class DeviceMatrix:
 
 #: Elements of one lane of the recursion kernel (256 KiB in double): a
 #: block's vectors advance in lockstep, ``LANE_ELEMENTS // D`` at a
-#: time.  Per vector, a block sweep beats a matvec by 3.8x at D=1000,
-#: k=32 (1.3x at D=4096, k=8), drops back at k=64, and only breaks
-#: even at D=8000, k=4, where the lane still saves per-vector kernel
-#: work (single-threaded NumPy on a Xeon server core).
+#: time.  Per vector, a block sweep (widened slot values) beats a
+#: matvec by about 3x at D=1000, k=32 (still 2.3x or more at k=64),
+#: 1.7x at D=4096, k=8 and 2x at D=8000, k=4 (CSR and ELL alike,
+#: single-threaded NumPy 2.4 on a Xeon server core).
 LANE_ELEMENTS = 2**15
 
 
 def _store_moments(mu_tilde, lane, column, r0, block) -> None:
     """``mu~[v, column] = r0[j] @ block[:, j]`` for each lane vector ``v``.
 
-    Each moment is one contiguous 1-D dot — the per-vector program's
-    ``ddot``; a strided or ``einsum`` reduction would sum in another
-    order.
+    One ``np.vecdot`` over the block's contiguous transposed rows: for
+    real floats its inner loop is the same ``*_dot`` that a 1-D ``@``
+    runs (BLAS ``?dot`` on unit-stride rows), so every moment keeps the
+    per-vector program's bits; a strided or ``einsum`` reduction would
+    sum in another order.  Both operands are cut to the lane, because
+    the order-0 store passes the full seed buffer.
     """
+    n = len(lane)
     rows = np.ascontiguousarray(block.T)
-    for j, v in enumerate(lane):
-        mu_tilde.data[v, column] = r0[j] @ rows[j]
+    mu_tilde.data[lane, column] = np.vecdot(r0[:n], rows[:n])
 
 
 # Launch-domain contract of the recursion kernel (rules RA016–RA020).
@@ -269,10 +272,10 @@ def kpm_recursion_kernel(  # repro: noqa[RA005] -- block program; host pipeline 
     the lane holds its rotation as host ``(D, k)`` blocks, and each order
     is one canonical ``2 H~ R_n - R_{n-1}`` through
     :meth:`DeviceMatrix.matmat`.  Columns never mix in the sweep and
-    each moment is the vector's own contiguous ``r0 @ r_n`` dot
-    (:func:`_store_moments`), so ``mu~`` is bit-identical to the
-    one-vector-at-a-time program for every lane width, block size and
-    partitioning.
+    each moment has the bits of the vector's own contiguous
+    ``r0 @ r_n`` dot (one ``vecdot`` per order, :func:`_store_moments`),
+    so ``mu~`` is bit-identical to the one-vector-at-a-time program for
+    every lane width, block size and partitioning.
 
     ``first_vector`` offsets the global vector numbering so a device
     working on a partition (multi-GPU, :mod:`repro.cluster`) consumes

@@ -42,18 +42,29 @@ the device-side ``DeviceMatrix``) and are built on first use.
 
 **Blocks accumulate in place.**  A block sweep (``matmat``) over real
 storage runs each full-row slot as ``np.take(operand, cols, axis=0,
-out=buf)``, ``buf *= vals[:, None]``, ``out += buf`` into one reused
-gather buffer: the same products and sums as ``out += vals[:, None] *
+out=buf)``, ``buf *= wide``, ``out += buf`` into one reused gather
+buffer: the same products and sums as ``out += vals[:, None] *
 operand[cols]``, without the two temporaries (multiplication commutes
-exactly in IEEE-754).  Partial-row slots keep the scatter through
-``out[rows]``.  Columns never mix, so column ``j`` of a block sweep is
-bit-identical to the matvec of column ``j`` — which is what lets the
-device recursion run a block's vectors in lockstep lanes
-(:func:`repro.gpukpm.kernels.kpm_recursion_kernel`) with the moments of
-the one-vector-at-a-time program.  Only the matrix product is blocked:
-the moment dots stay one contiguous 1-D ``ddot`` per vector, because a
-strided ``ddot`` or an ``einsum`` reduction sums in another order.  A
-one-column block runs the vector loop on its column views.
+exactly in IEEE-754).  ``wide`` is the slot's values repeated to the
+block's ``(D, k)`` shape, in their own dtype.  Multiplying by the
+broadcast ``vals[:, None]`` instead runs ``D`` inner loops of length
+``k``, and at the device lane widths ``k`` is small (4 at ``D = 8000``),
+so the dispatch per row costs more than the arithmetic; the widened
+values make it one contiguous loop over the same operands.  The
+compiled operands keep the widened values of the last block width only,
+so a plan holds at most one block's worth per full-row slot (``D * k``
+values, 256 KiB per slot in double at the device lane size), rebuilt
+when the width changes and dropped with the matrix.  Partial-row slots
+keep the scatter through ``out[rows]``.  Columns never mix, so column
+``j`` of a block sweep is bit-identical to the matvec of column ``j`` —
+which is what lets the device recursion run a block's vectors in
+lockstep lanes (:func:`repro.gpukpm.kernels.kpm_recursion_kernel`) with
+the moments of the one-vector-at-a-time program.  Only the matrix
+product is blocked: each moment is the contiguous 1-D dot of one vector,
+taken for a whole lane by one ``np.vecdot`` over contiguous rows (the
+same BLAS dot per row), because a strided ``ddot`` or an ``einsum``
+reduction sums in another order.  A one-column block runs the vector
+loop on its column views.
 
 **Instrumented views take the gather path.**  Under an ambient
 :class:`~repro.sanitize.DeviceSanitizer` a device buffer's ``.data`` is
@@ -88,6 +99,38 @@ __all__ = [
 ]
 
 
+class _CompiledSlots:
+    """A plan's operands gathered from one ``data`` / ``indices`` pair.
+
+    ``slots`` holds per-slot ``(rows, vals, cols)`` (``rows`` is
+    ``None`` for a slot that covers every row) and ``n_cols`` is one
+    past the largest stored column — the operand rows a sweep needs.
+    """
+
+    __slots__ = ("slots", "n_cols", "_wide_k", "_wide")
+
+    def __init__(self, slots, n_cols: int):
+        self.slots = slots
+        self.n_cols = n_cols
+        self._wide_k = 0
+        self._wide = None
+
+    def widened(self, k: int) -> list:
+        """Full-row slot values repeated to ``(n_rows, k)`` (else ``None``).
+
+        Kept for the last block width asked only, so at most one
+        block's worth of values per full-row slot is held.
+        """
+        if self._wide_k != k:
+            self._wide = None  # release the old width before building
+            self._wide = [
+                np.repeat(vals[:, None], k, axis=1) if rows is None else None
+                for rows, vals, _ in self.slots
+            ]
+            self._wide_k = k
+        return self._wide
+
+
 class SweepPlan:
     """Precomputed slot schedule of a matrix's canonical sweep.
 
@@ -95,7 +138,8 @@ class SweepPlan:
     least ``k + 1`` entries: ``rows[k]`` are those row indices and
     ``positions[k]`` the matching flat (row-major) positions into the
     value / index storage.  Total memory is ``O(nnz)`` regardless of
-    row skew; the compiled operands add another ``O(nnz)``.
+    row skew; the compiled operands add another ``O(nnz)``, and their
+    widened values one block's worth per full-row slot.
     """
 
     __slots__ = ("n_rows", "slots", "_compiled")
@@ -106,15 +150,12 @@ class SweepPlan:
         self._compiled = None
 
     def compiled(self, data, indices):
-        """Per-slot ``(rows, vals, cols)`` gathered from raw storage.
+        """The slots' operands gathered from raw storage.
 
-        Returns ``(slots, n_cols)``: ``rows`` is ``None`` for a slot that
-        covers every row, and ``n_cols`` is one past the largest stored
-        column — the operand rows a sweep needs.  The operands are
-        gathered on the first call and reused while the same ``data`` /
-        ``indices`` arrays are passed.  Returns ``None`` when either is
-        not a plain ndarray (an instrumented view), so the caller
-        gathers through it instead.
+        Returns a :class:`_CompiledSlots`, gathered on the first call and
+        reused while the same ``data`` / ``indices`` arrays are passed.
+        Returns ``None`` when either is not a plain ndarray (an
+        instrumented view), so the caller gathers through it instead.
         """
         if type(data) is not np.ndarray or type(indices) is not np.ndarray:
             return None
@@ -132,7 +173,7 @@ class SweepPlan:
             n_cols = max(
                 (int(cols.max()) + 1 for _, _, cols in slots if cols.size), default=0
             )
-            cached = self._compiled = (data, indices, (slots, n_cols))
+            cached = self._compiled = (data, indices, _CompiledSlots(slots, n_cols))
         return cached[2]
 
 
@@ -177,31 +218,32 @@ def _check_block(block) -> None:
         raise ShapeError(f"block must be 2-D, got shape {block.shape}")
 
 
-def _sweep_compiled(compiled, out, operand) -> np.ndarray:
+def _sweep_compiled(compiled: _CompiledSlots, out, operand) -> np.ndarray:
     """Accumulate the compiled slots of ``A @ operand`` into ``out``."""
-    slots, n_cols = compiled
-    if operand.shape[0] < n_cols:
+    if operand.shape[0] < compiled.n_cols:
         raise ShapeError(
-            f"operand has {operand.shape[0]} rows, the matrix needs {n_cols}"
+            f"operand has {operand.shape[0]} rows, the matrix needs {compiled.n_cols}"
         )
     if operand.ndim == 1 or operand.shape[1] == 1:
         # A vector, or a one-column block through its column views: the
         # 1-D loop has the least dispatch per slot.
         vec, acc = (operand, out) if operand.ndim == 1 else (operand[:, 0], out[:, 0])
-        for rows, vals, cols in slots:
+        for rows, vals, cols in compiled.slots:
             if rows is None:
                 acc += vals * vec[cols]
             else:
                 acc[rows] += vals * vec[cols]
         return out
-    # In place over one gather buffer (module docstring); indices are
-    # in range, so ``take`` skips its bounds-checking copy ("wrap").
+    # In place over one gather buffer with widened values (module
+    # docstring); indices are in range, so ``take`` skips its
+    # bounds-checking copy ("wrap").
     in_place = out.dtype == operand.dtype and out.dtype.kind == "f"
     buf = np.empty_like(out) if in_place else None
-    for rows, vals, cols in slots:
+    wide = compiled.widened(operand.shape[1]) if in_place else None
+    for slot, (rows, vals, cols) in enumerate(compiled.slots):
         if rows is None and in_place:
             operand.take(cols, axis=0, out=buf, mode="wrap")
-            buf *= vals[:, None]
+            buf *= wide[slot]
             out += buf
         elif rows is None:
             out += vals[:, None] * operand[cols]

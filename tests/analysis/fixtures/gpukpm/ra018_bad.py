@@ -1,6 +1,6 @@
 """RA018 fixtures: ad-hoc contractions on matrix storage buffers.
 
-Both products are numerically plausible but bypass the canonical
+The products are numerically plausible but bypass the canonical
 contraction order of ``repro.sparse.sweep``, so replay across storage
 formats would not be bit-identical.  The accesses themselves are
 in-bounds and race-free — the kernel *proves* clean under RA016/RA017;
@@ -20,7 +20,10 @@ def _adhoc_product_kernel(ctx, matrix, x, n):
     result = np.dot(matrix.dense, x_host)
     stash = np.asarray(matrix.dense, dtype=np.float64)
     gram = stash @ stash.T
-    return result, gram
+    # NumPy 2 ufuncs: np.matvec is not the canonical DeviceMatrix.matvec.
+    rows = np.vecdot(matrix.dense, x_host)
+    product = np.matvec(matrix.dense, x_host)
+    return result, gram, rows, product
 
 
 _BLOCK_CONTRACT = KernelContract(

@@ -127,10 +127,10 @@ class TestSeededMutants:
 
     def test_off_by_one_store_is_caught(self):
         original = KERNELS_PY.read_text(encoding="utf-8")
-        target = "mu_tilde.data[v, column] = r0[j] @ rows[j]"
+        target = "mu_tilde.data[lane, column] = np.vecdot(r0[:n], rows[:n])"
         assert target in original
         mutated = original.replace(
-            target, "mu_tilde.data[v, column + 1] = r0[j] @ rows[j]"
+            target, "mu_tilde.data[lane, column + 1] = np.vecdot(r0[:n], rows[:n])"
         )
         recursion = _report_for(_verify_source(mutated), "kpm_recursion")
         assert recursion.status == "failed"

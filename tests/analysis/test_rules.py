@@ -352,7 +352,9 @@ class TestRA018CanonicalSweep:
         assert locations(report.findings) == [
             ("gpukpm/ra018_bad.py", 20, "RA018"),
             ("gpukpm/ra018_bad.py", 22, "RA018"),
-            ("gpukpm/ra018_bad.py", 36, "RA018"),
+            ("gpukpm/ra018_bad.py", 24, "RA018"),
+            ("gpukpm/ra018_bad.py", 25, "RA018"),
+            ("gpukpm/ra018_bad.py", 39, "RA018"),
         ]
 
     def test_block_product_through_matmat_is_clean(self):
@@ -364,6 +366,8 @@ class TestRA018CanonicalSweep:
         messages = [f.message for f in scan(["RA018"]).findings]
         assert any("'np.dot'" in m for m in messages)
         assert any("'@'" in m for m in messages)
+        assert any("'np.vecdot'" in m for m in messages)
+        assert any("'np.matvec'" in m for m in messages)
         assert all("matvec / repro.sparse.sweep" in m for m in messages)
 
 
@@ -434,7 +438,7 @@ class TestFullSweep:
             "RA015": 3,
             "RA016": 1,
             "RA017": 1,
-            "RA018": 3,
+            "RA018": 5,
             "RA019": 1,
             "RA020": 4,
         }

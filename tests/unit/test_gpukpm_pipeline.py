@@ -1,5 +1,7 @@
 """Unit tests for repro.gpukpm.pipeline, estimator, and blocksize."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,23 @@ class TestFunctionalParity:
                                 block_size,
                                 lane_width,
                             )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_store_moments_on_ragged_lane_matches_per_vector_dots(self, dtype):
+        # A ragged last lane: 3 vectors in a seed buffer 8 rows wide.  The
+        # order-0 store passes the whole buffer; later orders a (D, 3) block.
+        rng = np.random.default_rng(3)
+        dim, lane = 1000, range(5, 8)
+        r0 = rng.standard_normal((8, dim)).astype(dtype)
+        block = rng.standard_normal((dim, len(lane))).astype(dtype)
+        mu_tilde = SimpleNamespace(data=np.full((8, 2), np.nan))
+        kernels._store_moments(mu_tilde, lane, 0, r0, r0.T)
+        kernels._store_moments(mu_tilde, lane, 1, r0, block)
+        rows = np.ascontiguousarray(block.T)
+        for j, v in enumerate(lane):
+            assert mu_tilde.data[v, 0] == r0[j] @ r0[j]
+            assert mu_tilde.data[v, 1] == r0[j] @ rows[j]
+        assert np.isnan(mu_tilde.data[:5]).all()
 
     def test_reduce_kernel_mean_matches_table(self, scaled_cube, small_config):
         data, _ = GpuKPM().compute_moments(scaled_cube, small_config)

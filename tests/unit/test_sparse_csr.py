@@ -209,7 +209,10 @@ class TestSpectralHelpers:
     @pytest.mark.parametrize("mirror", [1.0, 0.0])
     def test_is_symmetric_tolerance_edge_matches_dense(self, mirror):
         # One entry exceeds its transposed partner by exactly ``tol``, then
-        # by one more ulp; mirror 0.0 leaves the partner unstored.
+        # by one more ulp; mirror 0.0 leaves the partner unstored.  A stray
+        # stored 0.0 at (0, 4), its mirror unstored, breaks the structural
+        # symmetry without changing the answer.  Only mirror 1.0 without
+        # the stray zero is structurally symmetric; the rest take the merge.
         tol = 2.0**-20
         exact = mirror + tol
         above = np.nextafter(exact, np.inf)
@@ -218,9 +221,17 @@ class TestSpectralHelpers:
             dense[3, 1] = mirror
             dense[1, 3] = value
             assert bool(np.max(np.abs(dense - dense.T)) <= tol) is expected
-            csr = CSRMatrix.from_dense(dense)
-            assert csr.is_symmetric(tol) is expected
-            assert csr.to_ell().is_symmetric(tol) is expected
+            for stray_zero in (False, True):
+                stored = dense != 0.0
+                stored[0, 4] = stray_zero
+                structural = np.array_equal(stored, stored.T)
+                assert structural is (mirror != 0.0 and not stray_zero)
+                rows, cols = np.nonzero(stored)
+                indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+                csr = CSRMatrix(indptr, cols, dense[rows, cols], dense.shape)
+                assert csr.nnz_stored == stored.sum()
+                assert csr.is_symmetric(tol) is expected
+                assert csr.to_ell().is_symmetric(tol) is expected
 
     def test_rectangular_not_symmetric(self):
         assert not CSRMatrix.from_dense(np.ones((2, 3))).is_symmetric()

@@ -1,5 +1,7 @@
 """Unit tests for ELL storage (repro.sparse.ell)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,33 @@ def ragged_csr(seed=0, n=40):
     return CSRMatrix.from_dense(dense)
 
 
+def full_row_csr(seed=0, n=40):
+    """``ragged_csr`` plus two diagonals: slots 0-1 cover every row."""
+    rng = np.random.default_rng(seed)
+    dense = ragged_csr(seed, n).to_dense()
+    diagonal = np.arange(n)
+    dense[diagonal, diagonal] = rng.standard_normal(n)
+    dense[diagonal, (diagonal + 1) % n] = rng.standard_normal(n)
+    return CSRMatrix.from_dense(dense)
+
+
+def compiled_sweeps(csr, fmt, dtype):
+    """Block and vector sweeps over ``csr`` stored as ``fmt`` in ``dtype``."""
+    if fmt == "csr":
+        data, indices, plan = csr.data.astype(dtype), csr.indices, csr.sweep_plan
+        return (
+            lambda block: csr_sweep_matmat(data, indices, plan, block),
+            lambda x: csr_sweep_matvec(data, indices, plan, x),
+        )
+    ell = csr.to_ell()
+    data, indices = ell.data.astype(dtype), ell.indices
+    plan = build_ell_plan(*data.shape)
+    return (
+        lambda block: ell_sweep_matmat(data, indices, block, plan=plan),
+        lambda x: ell_sweep_matvec(data, indices, x, plan=plan),
+    )
+
+
 def assert_bits_equal(actual, expected):
     assert actual.dtype == expected.dtype
     np.testing.assert_array_equal(actual, expected)
@@ -269,6 +298,59 @@ class TestCompiledSweep:
             column = csr_sweep_matvec(data, csr.indices, plan, block[:, j].copy())
             assert_bits_equal(csr_block[:, j], column)
             assert_bits_equal(ell_block[:, j], column)
+
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
+    @pytest.mark.parametrize(
+        "data_dtype, block_dtype",
+        [(np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)],
+    )
+    def test_widened_sweep_across_width_changes(self, fmt, data_dtype, block_dtype):
+        # One plan sweeps blocks of changing width; every column stays the
+        # matvec of that column, whether its values are widened or not.
+        matmat, matvec = compiled_sweeps(full_row_csr(11), fmt, data_dtype)
+        rng = np.random.default_rng(12)
+        for width in (32, 5, 32, 1):
+            block = operand(rng, (40, width), block_dtype)
+            result = matmat(block)
+            for j in range(width):
+                assert_bits_equal(result[:, j], matvec(block[:, j].copy()))
+
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
+    def test_widened_sweep_of_negative_zero_products(self, fmt):
+        # -0.0 operands against negative and positive values: every
+        # product is a signed zero, and the sums absorb them exactly.
+        matmat, matvec = compiled_sweeps(full_row_csr(13), fmt, np.float64)
+        block = np.full((40, 4), -0.0)
+        block[::3, 1] = 0.0
+        block[:, 2] = np.where(np.arange(40) % 2, -0.0, 1.0)
+        result = matmat(block)
+        for j in range(4):
+            assert_bits_equal(result[:, j], matvec(block[:, j].copy()))
+
+    def test_widened_values_held_for_one_width(self):
+        # The compiled operands keep one widened set: the last block
+        # width swept, in the values' own dtype, one per full-row slot.
+        csr = full_row_csr(14)
+        data, indices, plan = csr.data.astype(np.float32), csr.indices, csr.sweep_plan
+        rng = np.random.default_rng(15)
+        csr_sweep_matmat(data, indices, plan, operand(rng, (40, 5), np.float64))
+        compiled = plan.compiled(data, indices)
+        narrow = compiled.widened(5)
+        full_rows = [rows is None for rows, _, _ in compiled.slots]
+        assert full_rows[:2] == [True, True] and not all(full_rows)
+        assert [w is not None for w in narrow] == full_rows
+        dropped = [weakref.ref(w) for w in narrow if w is not None]
+        del narrow
+        csr_sweep_matmat(data, indices, plan, operand(rng, (40, 32), np.float64))
+        assert all(ref() is None for ref in dropped)
+        wide = compiled.widened(32)
+        for w, (rows, vals, _) in zip(wide, compiled.slots):
+            if rows is not None:
+                continue
+            assert w.shape == (40, 32) and w.dtype == np.float32
+            np.testing.assert_array_equal(w, np.repeat(vals[:, None], 32, axis=1))
+        csr_sweep_matmat(data, indices, plan, operand(rng, (40, 1), np.float64))
+        assert compiled.widened(32) is wide  # one-column blocks do not widen
 
     def test_device_matmat_under_sanitizer_reads_all_storage(self):
         csr = ragged_csr(7)
