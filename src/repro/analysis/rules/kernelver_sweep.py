@@ -51,17 +51,17 @@ _DOT_FUNCS = frozenset(
 #: Module names under which NumPy's own functions are called.
 _NUMPY_BASES = frozenset({"np", "numpy"})
 
-#: Matrix methods that run the canonical sweep.  NumPy's ``np.matvec``
-#: ufunc shares a name but not the contraction order, so a call counts
-#: as canonical only on a non-NumPy base.
-_CANONICAL_METHODS = frozenset({"matvec", "matmat"})
-
 
 def _is_canonical_method(node: ast.Call) -> bool:
+    """A ``.matvec`` call on a matrix object: the canonical sweep.
+
+    NumPy's ``np.matvec`` ufunc shares the name but not the contraction
+    order, so a call counts as canonical only on a non-NumPy base.
+    """
     func = node.func
     return (
         isinstance(func, ast.Attribute)
-        and func.attr in _CANONICAL_METHODS
+        and func.attr == "matvec"
         and not (isinstance(func.value, ast.Name) and func.value.id in _NUMPY_BASES)
     )
 

@@ -159,9 +159,9 @@ class DeviceMatrix:
 
 #: Elements of one lane of the recursion kernel (256 KiB in double): a
 #: block's vectors advance in lockstep, ``LANE_ELEMENTS // D`` at a
-#: time.  Per vector, a block sweep (widened slot values) beats a
-#: matvec by about 3x at D=1000, k=32 (still 2.3x or more at k=64),
-#: 1.7x at D=4096, k=8 and 2x at D=8000, k=4 (CSR and ELL alike,
+#: time, the largest block whose slot values the sweep widens.  Per
+#: vector a block sweep beats a matvec by about 4x at D=1000, k=32, 2x
+#: at D=4096, k=8 and 2.3x at D=8000, k=4 (CSR and ELL alike,
 #: single-threaded NumPy 2.4 on a Xeon server core).
 LANE_ELEMENTS = 2**15
 

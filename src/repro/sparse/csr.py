@@ -346,15 +346,14 @@ class CSRMatrix:
     def is_symmetric(self, tolerance: float = 0.0) -> bool:
         """True if ``|A - A.T|`` never exceeds ``tolerance`` entrywise.
 
-        With ``tolerance > 0`` the check compares the stored entries of
-        ``A`` and ``A.T`` on flat keys ``row * n + col`` instead of
-        densifying: outside the union of stored positions both sides are
-        ``0.0``, and canonical CSR stores each key at most once, so the
-        entrywise differences are exactly those of the dense formula.
-        The keys of ``A`` are already sorted; when the stably sorted keys
-        of ``A.T`` equal them (a structurally symmetric matrix), each
-        entry meets its mirror directly, and only otherwise are the two
-        key sets merged.
+        With ``tolerance > 0`` the check compares each stored entry of
+        ``A`` with its mirror on flat keys ``row * n + col`` instead of
+        densifying.  Canonical CSR keys are sorted and unique, so one
+        ``searchsorted`` finds each mirror; an unstored mirror is
+        ``0.0``.  A difference at an unstored position of ``A`` is the
+        same pair seen from its stored mirror, and outside the stored
+        positions and their mirrors both sides are ``0.0``, so the
+        differences are exactly those of the dense formula.
         """
         if self.shape[0] != self.shape[1]:
             return False
@@ -369,13 +368,7 @@ class CSRMatrix:
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
         keys = rows * n + self.indices
         transposed_keys = self.indices * n + rows
-        order = np.argsort(transposed_keys, kind="stable")
-        if np.array_equal(transposed_keys[order], keys):
-            difference = self.data - self.data[order]
-            return bool(np.max(np.abs(difference), initial=0.0) <= tolerance)
-        union = np.union1d(keys, transposed_keys)
-        entries = np.zeros(union.size, dtype=np.float64)
-        mirrored = np.zeros(union.size, dtype=np.float64)
-        entries[np.searchsorted(union, keys)] = self.data
-        mirrored[np.searchsorted(union, transposed_keys)] = self.data
-        return bool(np.max(np.abs(entries - mirrored), initial=0.0) <= tolerance)
+        data = self.data.astype(np.float64, copy=False)
+        pos = np.minimum(np.searchsorted(keys, transposed_keys), max(keys.size - 1, 0))
+        mirrored = np.where(keys[pos] == transposed_keys, data[pos], 0.0)
+        return bool(np.max(np.abs(data - mirrored), initial=0.0) <= tolerance)

@@ -50,11 +50,13 @@ block's ``(D, k)`` shape, in their own dtype.  Multiplying by the
 broadcast ``vals[:, None]`` instead runs ``D`` inner loops of length
 ``k``, and at the device lane widths ``k`` is small (4 at ``D = 8000``),
 so the dispatch per row costs more than the arithmetic; the widened
-values make it one contiguous loop over the same operands.  The
-compiled operands keep the widened values of the last block width only,
-so a plan holds at most one block's worth per full-row slot (``D * k``
-values, 256 KiB per slot in double at the device lane size), rebuilt
-when the width changes and dropped with the matrix.  Partial-row slots
+values make it one contiguous loop over the same operands.  Only blocks
+of at most ``_WIDEN_ELEMENTS`` elements (the device lane size) are
+widened; a wider block keeps the broadcast, whose inner loops are long
+once ``k`` is.  The compiled operands keep the widened values of the
+last widened block width only, so a plan holds at most one lane's worth
+per full-row slot (256 KiB per slot in double), rebuilt when the width
+changes and dropped with the matrix.  Partial-row slots
 keep the scatter through ``out[rows]``.  Columns never mix, so column
 ``j`` of a block sweep is bit-identical to the matvec of column ``j`` —
 which is what lets the device recursion run a block's vectors in
@@ -99,6 +101,15 @@ __all__ = [
 ]
 
 
+#: Largest block (``D * k`` elements) whose full-row slot values are
+#: widened: the device recursion's lane size
+#: (:data:`repro.gpukpm.kernels.LANE_ELEMENTS`, 256 KiB in double), the
+#: shapes where the gain was measured.  A wider block keeps the
+#: broadcast multiply, so widened values never cost more than one lane
+#: per full-row slot, whatever block a host caller sweeps.
+_WIDEN_ELEMENTS = 2**15
+
+
 class _CompiledSlots:
     """A plan's operands gathered from one ``data`` / ``indices`` pair.
 
@@ -119,7 +130,8 @@ class _CompiledSlots:
         """Full-row slot values repeated to ``(n_rows, k)`` (else ``None``).
 
         Kept for the last block width asked only, so at most one
-        block's worth of values per full-row slot is held.
+        block's worth of values per full-row slot is held; the sweep
+        asks only for blocks of at most ``_WIDEN_ELEMENTS``.
         """
         if self._wide_k != k:
             self._wide = None  # release the old width before building
@@ -139,7 +151,7 @@ class SweepPlan:
     ``positions[k]`` the matching flat (row-major) positions into the
     value / index storage.  Total memory is ``O(nnz)`` regardless of
     row skew; the compiled operands add another ``O(nnz)``, and their
-    widened values one block's worth per full-row slot.
+    widened values at most ``_WIDEN_ELEMENTS`` per full-row slot.
     """
 
     __slots__ = ("n_rows", "slots", "_compiled")
@@ -239,11 +251,15 @@ def _sweep_compiled(compiled: _CompiledSlots, out, operand) -> np.ndarray:
     # bounds-checking copy ("wrap").
     in_place = out.dtype == operand.dtype and out.dtype.kind == "f"
     buf = np.empty_like(out) if in_place else None
-    wide = compiled.widened(operand.shape[1]) if in_place else None
+    wide = (
+        compiled.widened(operand.shape[1])
+        if in_place and out.size <= _WIDEN_ELEMENTS
+        else None
+    )
     for slot, (rows, vals, cols) in enumerate(compiled.slots):
         if rows is None and in_place:
             operand.take(cols, axis=0, out=buf, mode="wrap")
-            buf *= wide[slot]
+            buf *= vals[:, None] if wide is None else wide[slot]
             out += buf
         elif rows is None:
             out += vals[:, None] * operand[cols]

@@ -212,7 +212,8 @@ class TestSpectralHelpers:
         # by one more ulp; mirror 0.0 leaves the partner unstored.  A stray
         # stored 0.0 at (0, 4), its mirror unstored, breaks the structural
         # symmetry without changing the answer.  Only mirror 1.0 without
-        # the stray zero is structurally symmetric; the rest take the merge.
+        # the stray zero is structurally symmetric; the rest have entries
+        # whose mirror is unstored.
         tol = 2.0**-20
         exact = mirror + tol
         above = np.nextafter(exact, np.inf)

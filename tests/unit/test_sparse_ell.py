@@ -7,11 +7,13 @@ import pytest
 
 from repro.errors import ShapeError, ValidationError
 from repro.gpu import Device, tiny_test_device
+from repro.gpukpm import kernels
 from repro.gpukpm.kernels import DeviceMatrix
 from repro.lattice import chain, cubic, tight_binding_hamiltonian
 from repro.sanitize import DeviceSanitizer
 from repro.sparse import CSRMatrix, ELLMatrix
 from repro.sparse.sweep import (
+    _WIDEN_ELEMENTS,
     build_ell_plan,
     csr_sweep_matmat,
     csr_sweep_matvec,
@@ -351,6 +353,28 @@ class TestCompiledSweep:
             np.testing.assert_array_equal(w, np.repeat(vals[:, None], 32, axis=1))
         csr_sweep_matmat(data, indices, plan, operand(rng, (40, 1), np.float64))
         assert compiled.widened(32) is wide  # one-column blocks do not widen
+
+    def test_blocks_beyond_a_lane_are_not_widened(self):
+        # A host block wider than a device lane keeps the broadcast
+        # multiply: it builds no widened set and leaves a held one as is.
+        assert kernels.LANE_ELEMENTS <= _WIDEN_ELEMENTS
+        n = 600
+        csr = full_row_csr(16, n=n)
+        data, indices, plan = csr.data, csr.indices, csr.sweep_plan
+        rng = np.random.default_rng(17)
+        block = operand(rng, (n, 64), np.float64)
+        assert block.size > _WIDEN_ELEMENTS
+        result = csr_sweep_matmat(data, indices, plan, block)
+        for j in range(64):
+            column = csr_sweep_matvec(data, indices, plan, block[:, j].copy())
+            assert_bits_equal(result[:, j], column)
+        compiled = plan.compiled(data, indices)
+        assert compiled._wide is None
+        csr_sweep_matmat(data, indices, plan, block[:, :32])  # fits a lane
+        lane = compiled._wide
+        assert lane is not None and compiled._wide_k == 32
+        csr_sweep_matmat(data, indices, plan, block)
+        assert compiled._wide is lane
 
     def test_device_matmat_under_sanitizer_reads_all_storage(self):
         csr = ragged_csr(7)
